@@ -3,8 +3,7 @@ differentiation, synthetic ground-truth problems, a multi-loop baseline, and
 a Monte-Carlo verifier for the method's convergence bounds."""
 
 from .baselines import (MultiLoopConfig, MultiLoopState, multiloop_step,
-                        resolve_multiloop_config, run_multiloop,
-                        theory_config, theory_loop_count)
+                        resolve_multiloop_config, run_multiloop)
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)

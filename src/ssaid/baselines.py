@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
-from .ssaid import (IterationTrace, RunConfig, _reference_row,
-                    adjoint_richardson_step, hypergradient_estimate,
-                    initial_vectors, lower_sgd_step, resolve_step_sizes)
-from .streams import (TAG_CROSS_OP, TAG_HESS_OP, TAG_LOWER_GRAD,
-                      TAG_UPPER_GRAD, StreamFactory)
+from .ssaid import (IterationTrace, RunConfig, _finite, _record_trace,
+                    initial_vectors, iterate, resolve_step_sizes)
+from .streams import StreamFactory
 
 __all__ = [
     "MultiLoopConfig",
@@ -35,8 +33,6 @@ __all__ = [
     "multiloop_step",
     "resolve_multiloop_config",
     "run_multiloop",
-    "theory_loop_count",
-    "theory_config",
 ]
 
 
@@ -146,34 +142,30 @@ def multiloop_step(state: MultiLoopState, problem, config: MultiLoopConfig,
             "config has unresolved step sizes; call resolve_multiloop_config")
     k = state.k
     x = state.x
-    tags = problem.stochastic_tags
-
-    y = state.y_hat if config.warm_start else state.y_init
-    v = state.v_hat if config.warm_start else state.v_init
-
-    for j in range(config.inner_iters):
-        gen = factory.at(k, TAG_LOWER_GRAD, j) if TAG_LOWER_GRAD in tags else None
-        y = lower_sgd_step(problem, x, y, config.alpha, gen)
-
-    gen = factory.at(k, TAG_UPPER_GRAD, 0) if TAG_UPPER_GRAD in tags else None
-    gx, gy = problem.sample_upper_grads(x, y, gen)
-
-    for j in range(config.solver_iters):
-        gen = factory.at(k, TAG_HESS_OP, j) if TAG_HESS_OP in tags else None
-        hvp = problem.sample_hess_operator(x, gen)
-        v = adjoint_richardson_step(problem, y, v, config.eta, hvp, gy)
-
-    gen = factory.at(k, TAG_CROSS_OP, 0) if TAG_CROSS_OP in tags else None
-    jvp = problem.sample_cross_operator(x, gen)
-    x_new = x - config.beta * hypergradient_estimate(gx, jvp, y, v)
-
-    total = float(x_new.sum()) + float(y.sum()) + float(v.sum())
-    if not math.isfinite(total):
+    y, v, _, est = iterate(
+        problem, factory, k, x,
+        state.y_hat if config.warm_start else state.y_init,
+        state.v_hat if config.warm_start else state.v_init,
+        config.alpha, config.eta, range(config.inner_iters),
+        range(config.solver_iters), 0, None)
+    x_new = x - config.beta * est
+    if not _finite(x_new, y, v):
         raise DivergenceError(
             f"nonfinite iterate at outer iteration {k}", iteration=k,
             state=state)
     return MultiLoopState(x=x_new, y_hat=y, v_hat=v, k=k + 1,
                           y_init=state.y_init, v_init=state.v_init)
+
+
+def _multiloop_start(problem, config: MultiLoopConfig, run: RunConfig):
+    """(step, initial state, per-step oracle bill) of a baseline run."""
+    x0, y0, v0 = initial_vectors(problem, run)
+    config = resolve_multiloop_config(problem, config, run, v0)
+    factory = StreamFactory(run.seed)
+    state = MultiLoopState(x=x0, y_hat=y0, v_hat=v0, k=0,
+                           y_init=y0, v_init=v0)
+    return ((lambda st: multiloop_step(st, problem, config, factory)), state,
+            (config.inner_iters + 2, config.solver_iters + 1))
 
 
 def run_multiloop(problem, config: MultiLoopConfig,
@@ -184,46 +176,4 @@ def run_multiloop(problem, config: MultiLoopConfig,
     counters advance by inner_iters + 2 gradients and solver_iters + 1
     matrix-vector products per outer iteration.
     """
-    x0, y0, v0 = initial_vectors(problem, run)
-    config = resolve_multiloop_config(problem, config, run, v0)
-    state = MultiLoopState(x=x0, y_hat=y0, v_hat=v0, k=0,
-                           y_init=y0, v_init=v0)
-    factory = StreamFactory(run.seed)
-    gc_inc = config.inner_iters + 2
-    mv_inc = config.solver_iters + 1
-    horizon, stride = run.horizon, run.stride
-    rows = []
-    if horizon == 0:
-        rows.append(_reference_row(problem, 0, x0, y0, v0, 0.0, 0, 0))
-        return IterationTrace.from_rows(rows, final_state=state)
-
-    for k in range(horizon):
-        record = (k % stride == 0) or (k == horizon - 1)
-        x_before = state.x
-        try:
-            state = multiloop_step(state, problem, config, factory)
-        except DivergenceError as err:
-            err.trace = IterationTrace.from_rows(rows, final_state=err.state)
-            raise
-        if record:
-            x_step = float(np.linalg.norm(state.x - x_before))
-            rows.append(_reference_row(problem, k, x_before, state.y_hat,
-                                       state.v_hat, x_step,
-                                       gc_inc * (k + 1), mv_inc * (k + 1)))
-    return IterationTrace.from_rows(rows, final_state=state)
-
-
-def theory_loop_count(kappa: float, horizon: int) -> int:
-    """Classic loop-count schedule: both inner loops grow like
-    kappa * ln(horizon), floored at one step."""
-    if not math.isfinite(kappa) or kappa < 1:
-        raise InvalidParameterError("kappa must be finite and at least 1")
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be at least 1")
-    return max(1, math.ceil(kappa * math.log(max(horizon, 2))))
-
-
-def theory_config(problem, horizon: int, warm_start: bool = True) -> MultiLoopConfig:
-    n = theory_loop_count(problem.constants.kappa, horizon)
-    return MultiLoopConfig(inner_iters=n, solver_iters=n,
-                           warm_start=warm_start)
+    return _record_trace(problem, run, *_multiloop_start(problem, config, run))

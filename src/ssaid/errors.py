@@ -33,9 +33,15 @@ class ConvergenceFailureError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An optimization run produced a nonfinite iterate or blew through the
-    configured gradient ceiling.  Carries the last finite state and whatever
-    trace rows were recorded before the abort."""
+    """An optimization run produced a nonfinite iterate.
+
+    ``iteration`` is the index of the step that produced it and ``state``
+    the last finite state before that step (None from the verifier's
+    history replay).  The runners attach ``trace``, the rows recorded
+    before the abort.  There is no
+    gradient ceiling: a run that grows without overflowing goes on until
+    its horizon.  Sweep cells report a diverged run as censored.
+    """
 
     def __init__(self, message: str, iteration: int, state=None, trace=None):
         super().__init__(message)

@@ -16,7 +16,7 @@ Three layers:
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import math
 import os
@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (MultiLoopConfig, MultiLoopState, multiloop_step,
-                        resolve_multiloop_config)
+from .baselines import MultiLoopConfig, _multiloop_start
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
@@ -37,15 +36,9 @@ from .hypergradient import StepSizes, compute_derived_constants
 from .problems import (NoiseModel, make_logistic_problem,
                        make_quadratic_problem, problem_from_json,
                        problem_hash, problem_to_json, reference_solution)
-from .ssaid import (GC_PER_STEP, MV_PER_STEP, IterationTrace, RunConfig,
-                    SSAIDState, initial_vectors, resolve_step_sizes,
-                    run_ssaid, ssaid_step)
-from .streams import StreamFactory
-from .verification import (LEMMA_IDS, MCConfig, check_bias_recursions,
-                           check_coupled_recursion, check_cumulative_bounds,
-                           check_lower_tracking, check_v_bound,
-                           run_lemma_suite, summary_csv)
-from .verification import _geom_sum_report
+from .ssaid import (IterationTrace, RunConfig, _ssaid_start, drive,
+                    initial_vectors, run_ssaid)
+from .verification import MCConfig, run_lemma_suite, summary_csv
 
 __all__ = [
     "RateFit",
@@ -246,44 +239,31 @@ def _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters):
     Returns (complexity, censored): the oracle count at the crossing, or
     (None, True) if the run diverged or never resolved within max_iters.
     """
-    check_every = max(1, max_iters // _SWEEP_CHECKS)
     config = RunConfig(seed=seed, horizon=max_iters)
-    x0, y0, v0 = initial_vectors(problem, config)
-    factory = StreamFactory(seed)
     if kind == "ssaid":
-        steps = resolve_step_sizes(problem, config, v0)
-        state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0, steps=steps)
-        gc_per, mv_per = GC_PER_STEP, MV_PER_STEP
-
-        def advance(st):
-            return ssaid_step(st, problem, factory)
+        step, state, counts = _ssaid_start(problem, config)
     else:
-        mconf = resolve_multiloop_config(
+        step, state, counts = _multiloop_start(
             problem, MultiLoopConfig(inner_iters=preset[0],
-                                     solver_iters=preset[1]), config, v0=v0)
-        state = MultiLoopState(x=x0, y_hat=y0, v_hat=v0, k=0,
-                               y_init=y0, v_init=v0)
-        gc_per, mv_per = mconf.inner_iters + 2, mconf.solver_iters + 1
+                                     solver_iters=preset[1]), config)
+    total, n_checks, crossed = 0.0, 0, None
 
-        def advance(st):
-            return multiloop_step(st, problem, mconf, factory)
+    def on_row(k, x_before, _):
+        nonlocal total, n_checks, crossed
+        ref = reference_solution(problem, x_before)
+        total += float(ref.grad_phi @ ref.grad_phi)
+        n_checks += 1
+        if total / n_checks <= epsilon:
+            crossed = k
+        return crossed is not None
 
-    cost = max(gc_per, mv_per)
-    total = 0.0
-    n_checks = 0
-    for k in range(max_iters):
-        x_before = state.x
-        try:
-            state = advance(state)
-        except DivergenceError:
-            return None, True
-        if k % check_every == 0 or k == max_iters - 1:
-            ref = reference_solution(problem, x_before)
-            total += float(ref.grad_phi @ ref.grad_phi)
-            n_checks += 1
-            if total / n_checks <= epsilon:
-                return int(cost * (k + 1)), False
-    return None, True
+    # a diverged run never crossed
+    with contextlib.suppress(DivergenceError):
+        drive(step, state, max_iters, max(1, max_iters // _SWEEP_CHECKS),
+              on_row)
+    if crossed is None:
+        return None, True
+    return int(max(counts) * (crossed + 1)), False
 
 
 def _summarize(rows, spec: SweepSpec):
@@ -603,43 +583,6 @@ def _cmd_run(opt: _Options) -> int:
     return 0
 
 
-_LEMMA_ALIASES = {lid.lower(): lid for lid in LEMMA_IDS}
-_LEMMA_ALIASES.update({
-    "geom_sum": "GeomSum",
-    "lower_tracking": "LowerTracking",
-    "v_bound": "VBound",
-    "bias_decoupling": "BiasDecoupling",
-    "estimator_bias_recursion": "EstimatorBiasRecursion",
-    "adjoint_drift": "AdjointDrift",
-    "mean_square_contraction": "MeanSquareContraction",
-    "coupled_recursion": "CoupledRecursion",
-    "hypergrad_bias": "HypergradBias",
-    "hypergrad_mse": "HypergradMSE",
-    "cumulative_bias": "CumulativeBias",
-})
-
-
-def _single_lemma(lemma_id, problem, config, mc):
-    if lemma_id == "GeomSum":
-        return [_geom_sum_report(mc)]
-    if lemma_id == "LowerTracking":
-        return [check_lower_tracking(problem, config, mc)]
-    if lemma_id == "VBound":
-        _, _, v0 = initial_vectors(problem, config)
-        derived = compute_derived_constants(
-            problem.constants, v0_norm=float(np.linalg.norm(v0)))
-        trace = run_ssaid(problem, dataclasses.replace(config, stride=1))
-        return [check_v_bound(trace, problem.constants, derived)]
-    if lemma_id in ("BiasDecoupling", "EstimatorBiasRecursion",
-                    "AdjointDrift", "MeanSquareContraction"):
-        reports = check_bias_recursions(problem, config, mc)
-        return [r for r in reports if r.lemma_id == lemma_id]
-    if lemma_id in ("CoupledRecursion", "HypergradBias", "HypergradMSE"):
-        reports = check_coupled_recursion(problem, config, mc)
-        return [r for r in reports if r.lemma_id == lemma_id]
-    return [check_cumulative_bounds(problem, config, mc)]
-
-
 def _cmd_verify(opt: _Options) -> int:
     problem = _load_problem(opt)
     checkpoints = _parse_int_list(opt.get("checkpoints", "1,5,20,100"),
@@ -649,17 +592,10 @@ def _cmd_verify(opt: _Options) -> int:
                   base_seed=int(opt.get("mc_seed", 0)))
     horizon = int(opt.get("horizon", max(checkpoints)))
     config = RunConfig(seed=int(opt.get("seed", 0)), horizon=horizon)
-    lemma = opt.get("lemma")
-    if opt.get("all") or lemma is None:
-        reports = run_lemma_suite(problem, config, mc)
-        stem = f"lemma_all_{problem_hash(problem)[:10]}"
-    else:
-        key = str(lemma).lower()
-        if key not in _LEMMA_ALIASES:
-            raise InvalidParameterError(
-                f"unknown lemma {lemma!r}; known: {', '.join(LEMMA_IDS)}")
-        reports = _single_lemma(_LEMMA_ALIASES[key], problem, config, mc)
-        stem = f"lemma_{_LEMMA_ALIASES[key]}_{problem_hash(problem)[:10]}"
+    lemma = None if opt.get("all") else opt.get("lemma")
+    reports = run_lemma_suite(problem, config, mc, lemma)
+    name = "all" if lemma is None else reports[0].lemma_id
+    stem = f"lemma_{name}_{problem_hash(problem)[:10]}"
     out = _out_dir(opt)
     doc = {"schema": "ssaid-lemma-v1",
            "problem_sha256": problem_hash(problem),

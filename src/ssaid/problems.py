@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -41,7 +41,6 @@ __all__ = [
     "NoiseModel",
     "PseudoHuberCosineUpper",
     "PlainQuadraticUpper",
-    "SampleBundle",
     "ReferenceSolution",
     "QuadraticBilevelProblem",
     "LogisticBilevelProblem",
@@ -50,7 +49,6 @@ __all__ = [
     "lower_solution",
     "adjoint_solution",
     "reference_solution",
-    "sample_oracles",
     "problem_to_json",
     "problem_from_json",
     "problem_hash",
@@ -274,22 +272,6 @@ def _sphere_noise(gen: np.random.Generator, dim: int, radius: float, reps):
     return radius * z / norm
 
 
-@dataclass
-class SampleBundle:
-    """One iteration's worth of independent oracle draws at a point.
-
-    Gradient entries are values at the (x, y) the bundle was drawn at; the
-    two operators are closures over their own draws and can be evaluated at
-    any later point (the second argument is the vector being multiplied).
-    """
-
-    lower_grad: np.ndarray
-    upper_grad_x: np.ndarray
-    upper_grad_y: np.ndarray
-    hess_vec: object   # callable (y, v) -> Hessian-vector product sample
-    cross_vec: object  # callable (y, v) -> cross-derivative product sample
-
-
 class _BilevelProblemBase:
     """Shared behavior; concrete families fill in the mean oracles."""
 
@@ -318,9 +300,6 @@ class _BilevelProblemBase:
             gx = gx + xi[..., :m]
             gy = gy + xi[..., m:]
         return gx, gy
-
-    def sample_bundle(self, x, y, factory, iteration, slot=0):
-        return sample_oracles(self, x, y, factory, iteration, slot)
 
     # --- reference solutions ---------------------------------------------
 
@@ -861,20 +840,6 @@ def reference_solution(problem, x: np.ndarray) -> ReferenceSolution:
     }
     return ReferenceSolution(y_star=y_star, v_star=v_star, grad_phi=grad_phi,
                              residuals=residuals)
-
-
-def sample_oracles(problem, x, y, factory, iteration: int, slot: int = 0) -> SampleBundle:
-    """Draw one iteration's four mutually independent oracle samples."""
-    from .streams import TAG_CROSS_OP, TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD
-
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidParameterError("x and y must be finite")
-    lower = problem.sample_lower_grad(x, y, factory.at(iteration, TAG_LOWER_GRAD, slot))
-    gx, gy = problem.sample_upper_grads(x, y, factory.at(iteration, TAG_UPPER_GRAD, slot))
-    hess_vec = problem.sample_hess_operator(x, factory.at(iteration, TAG_HESS_OP, slot))
-    cross_vec = problem.sample_cross_operator(x, factory.at(iteration, TAG_CROSS_OP, slot))
-    return SampleBundle(lower_grad=lower, upper_grad_x=gx, upper_grad_y=gy,
-                        hess_vec=hess_vec, cross_vec=cross_vec)
 
 
 # ---------------------------------------------------------------------------

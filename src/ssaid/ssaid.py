@@ -39,9 +39,8 @@ __all__ = [
     "ssaid_step",
     "run_ssaid",
     "oracle_complexity",
-    "lower_sgd_step",
-    "adjoint_richardson_step",
-    "hypergradient_estimate",
+    "iterate",
+    "drive",
     "resolve_step_sizes",
     "initial_vectors",
 ]
@@ -101,49 +100,57 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# step primitives, shared verbatim with the multi-loop baseline so that the
-# degenerate baseline reproduces this loop bit for bit
+# the iteration kernel, shared by the single-loop step, the multi-loop
+# baseline and the verifier's history replays and branches
+
+_ONCE = range(1)  # prebuilt: a range per iteration shows in the sweep
 
 
-def lower_sgd_step(problem, x, y, alpha, gen):
-    return y - alpha * problem.sample_lower_grad(x, y, gen)
+def iterate(problem, factory: StreamFactory, k, x, y, v, alpha, eta, inner,
+            solver, slot, reps):
+    """One iteration body at the upper iterate ``x``: a lower SGD step per
+    offset j in the range ``inner``, one upper-gradient sample, a damped
+    Richardson step per j in ``solver`` (fresh Hessian draw, one fixed
+    right-hand side) and the cross draw.  Per-step draws sit at
+    (k, tag, slot + j), the upper and cross draws at (k, tag, slot);
+    ``reps`` batches every draw along a leading axis (None: one draw).
+    Returns (y, v, gy, estimate): the new iterates, the realized upper
+    gradient in y and the hypergradient estimate."""
+    tags = problem.stochastic_tags
+    for j in inner:
+        gen = factory.at(k, TAG_LOWER_GRAD, slot + j) if TAG_LOWER_GRAD in tags else None
+        y = y - alpha * problem.sample_lower_grad(x, y, gen, reps=reps)
+    gen = factory.at(k, TAG_UPPER_GRAD, slot) if TAG_UPPER_GRAD in tags else None
+    gx, gy = problem.sample_upper_grads(x, y, gen, reps=reps)
+    for j in solver:
+        gen = factory.at(k, TAG_HESS_OP, slot + j) if TAG_HESS_OP in tags else None
+        hvp = problem.sample_hess_operator(x, gen, reps=reps)
+        v = v - eta * hvp(y, v) + eta * gy
+    gen = factory.at(k, TAG_CROSS_OP, slot) if TAG_CROSS_OP in tags else None
+    jvp = problem.sample_cross_operator(x, gen, reps=reps)
+    return y, v, gy, gx - jvp(y, v)
 
 
-def adjoint_richardson_step(problem, y, v, eta, hvp, rhs):
-    return v - eta * hvp(y, v) + eta * rhs
+def _finite(x, y, v) -> bool:
+    """Whether the entries of the three iterates sum to a finite number,
+    which fails on any nan or inf and on overflow.  np.add.reduce is the
+    reduction behind ndarray.sum without its Python wrapper."""
+    add = np.add.reduce
+    return math.isfinite(float(add(x)) + float(add(y)) + float(add(v)))
 
 
-def hypergradient_estimate(grad_x_f, jvp, y, v):
-    return grad_x_f - jvp(y, v)
-
-
-def ssaid_step(state: SSAIDState, problem, factory: StreamFactory,
-               slot: int = 0) -> SSAIDState:
-    """One full iteration; draws live at (seed, k, tag, slot)."""
+def ssaid_step(state: SSAIDState, problem, factory: StreamFactory) -> SSAIDState:
+    """One full iteration; draws live at (seed, k, tag, 0)."""
     k = state.k
     steps = state.steps
     x = state.x
-    tags = problem.stochastic_tags
-
-    gen = factory.at(k, TAG_LOWER_GRAD, slot) if TAG_LOWER_GRAD in tags else None
-    y_new = lower_sgd_step(problem, x, state.y_hat, steps.alpha, gen)
-
-    gen = factory.at(k, TAG_UPPER_GRAD, slot) if TAG_UPPER_GRAD in tags else None
-    gx, gy = problem.sample_upper_grads(x, y_new, gen)
-
-    gen = factory.at(k, TAG_HESS_OP, slot) if TAG_HESS_OP in tags else None
-    hvp = problem.sample_hess_operator(x, gen)
-    v_new = adjoint_richardson_step(problem, y_new, state.v_hat, steps.eta, hvp, gy)
-
-    gen = factory.at(k, TAG_CROSS_OP, slot) if TAG_CROSS_OP in tags else None
-    jvp = problem.sample_cross_operator(x, gen)
-    x_new = x - steps.beta * hypergradient_estimate(gx, jvp, y_new, v_new)
-
-    total = float(x_new.sum()) + float(y_new.sum()) + float(v_new.sum())
-    if not math.isfinite(total):
+    y, v, _, est = iterate(problem, factory, k, x, state.y_hat, state.v_hat,
+                           steps.alpha, steps.eta, _ONCE, _ONCE, 0, None)
+    x_new = x - steps.beta * est
+    if not _finite(x_new, y, v):
         raise DivergenceError(
             f"nonfinite iterate at iteration {k}", iteration=k, state=state)
-    return SSAIDState(x=x_new, y_hat=y_new, v_hat=v_new, k=k + 1, steps=steps)
+    return SSAIDState(x=x_new, y_hat=y, v_hat=v, k=k + 1, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +271,55 @@ def _reference_row(problem, k, x, y_hat, v_hat, x_step, gc, mv):
             gc, mv)
 
 
+def drive(step, state, horizon: int, stride: int, on_row):
+    """Advance ``state`` by ``horizon`` calls of ``step``; return the last
+    state.  After every stride-th and the final step, ``on_row(k, x_before,
+    state)`` sees the iteration index, the upper iterate the step started
+    from and the new state; a true return stops the run there."""
+    for k in range(horizon):
+        x_before = state.x
+        state = step(state)
+        if (k % stride == 0 or k == horizon - 1) and on_row(k, x_before, state):
+            break
+    return state
+
+
+def _record_trace(problem, config: RunConfig, step, state, counts,
+                  steps=None) -> IterationTrace:
+    """Drive ``step`` for ``config.horizon`` iterations with a reference row
+    at every stride-th and the final one; ``counts`` is the per-iteration
+    (gradient, matrix-vector) oracle bill.  Horizon 0 records the initial
+    point.  A DivergenceError leaves carrying the rows recorded so far."""
+    gc_inc, mv_inc = counts
+    rows = []
+
+    def on_row(k, x_before, st):
+        rows.append(_reference_row(problem, k, x_before, st.y_hat, st.v_hat,
+                                   float(np.linalg.norm(st.x - x_before)),
+                                   gc_inc * (k + 1), mv_inc * (k + 1)))
+
+    try:
+        state = drive(step, state, config.horizon, config.stride, on_row)
+    except DivergenceError as err:
+        err.trace = IterationTrace.from_rows(rows, final_state=err.state,
+                                             steps=steps)
+        raise
+    if not rows:
+        rows.append(_reference_row(problem, 0, state.x, state.y_hat,
+                                   state.v_hat, 0.0, 0, 0))
+    return IterationTrace.from_rows(rows, final_state=state, steps=steps)
+
+
+def _ssaid_start(problem, config: RunConfig):
+    """(step, initial state, per-step oracle bill) of a single-loop run."""
+    x0, y0, v0 = initial_vectors(problem, config)
+    steps = resolve_step_sizes(problem, config, v0)
+    factory = StreamFactory(config.seed)
+    state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0, steps=steps)
+    return ((lambda st: ssaid_step(st, problem, factory)), state,
+            (GC_PER_STEP, MV_PER_STEP))
+
+
 def run_ssaid(problem, config: RunConfig) -> IterationTrace:
     """Run the single-loop method for ``config.horizon`` iterations.
 
@@ -271,32 +327,8 @@ def run_ssaid(problem, config: RunConfig) -> IterationTrace:
     nonfinite iterate aborts with a DivergenceError carrying the rows
     recorded so far.
     """
-    x0, y0, v0 = initial_vectors(problem, config)
-    steps = resolve_step_sizes(problem, config, v0)
-    state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0, steps=steps)
-    factory = StreamFactory(config.seed)
-    horizon, stride = config.horizon, config.stride
-    rows = []
-    if horizon == 0:
-        rows.append(_reference_row(problem, 0, x0, y0, v0, 0.0, 0, 0))
-        return IterationTrace.from_rows(rows, final_state=state, steps=steps)
-
-    for k in range(horizon):
-        record = (k % stride == 0) or (k == horizon - 1)
-        x_before = state.x
-        try:
-            state = ssaid_step(state, problem, factory)
-        except DivergenceError as err:
-            err.trace = IterationTrace.from_rows(rows, final_state=err.state,
-                                                 steps=steps)
-            raise
-        if record:
-            x_step = float(np.linalg.norm(state.x - x_before))
-            rows.append(_reference_row(problem, k, x_before, state.y_hat,
-                                       state.v_hat, x_step,
-                                       GC_PER_STEP * (k + 1),
-                                       MV_PER_STEP * (k + 1)))
-    return IterationTrace.from_rows(rows, final_state=state, steps=steps)
+    step, state, counts = _ssaid_start(problem, config)
+    return _record_trace(problem, config, step, state, counts, state.steps)
 
 
 def oracle_complexity(trace: IterationTrace, epsilon: float):

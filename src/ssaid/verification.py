@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,9 @@ import numpy as np
 from .errors import DivergenceError, InvalidParameterError
 from .hypergradient import DerivedConstants, StepSizes, compute_derived_constants
 from .problems import ProblemConstants, reference_solution
-from .ssaid import (IterationTrace, RunConfig, adjoint_richardson_step,
-                    hypergradient_estimate, initial_vectors, lower_sgd_step,
-                    resolve_step_sizes, run_ssaid)
-from .streams import (BRANCH_SLOT, TAG_CROSS_OP, TAG_HESS_OP, TAG_LOWER_GRAD,
-                      TAG_UPPER_GRAD, StreamFactory)
+from .ssaid import (_ONCE, IterationTrace, RunConfig, _finite,
+                    initial_vectors, iterate, resolve_step_sizes, run_ssaid)
+from .streams import BRANCH_SLOT, StreamFactory
 
 __all__ = [
     "LEMMA_IDS",
@@ -46,20 +45,6 @@ __all__ = [
     "jackknife_se",
     "loo_mean",
 ]
-
-LEMMA_IDS = (
-    "GeomSum",
-    "LowerTracking",
-    "VBound",
-    "BiasDecoupling",
-    "EstimatorBiasRecursion",
-    "AdjointDrift",
-    "MeanSquareContraction",
-    "CoupledRecursion",
-    "HypergradBias",
-    "HypergradMSE",
-    "CumulativeBias",
-)
 
 SUMMARY_HEADER = "lemma_id,checkpoint_k,lhs,lhs_se,rhs,margin,violated"
 
@@ -239,7 +224,6 @@ class _History:
     gys: list         # realized upper-gradient-in-y sample at iteration t
     y0: np.ndarray
     v0: np.ndarray
-    steps: StepSizes
 
 
 def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
@@ -248,22 +232,13 @@ def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
     x, y, v = initial_vectors(problem, config)
     steps = resolve_step_sizes(problem, config, v)
     factory = StreamFactory(config.seed)
-    tags = problem.stochastic_tags
     hist = _History(xs=[x.copy()], ys=[], vs=[], gys=[], y0=y.copy(),
-                    v0=v.copy(), steps=steps)
+                    v0=v.copy())
     for k in range(horizon):
-        gen = factory.at(k, TAG_LOWER_GRAD, 0) if TAG_LOWER_GRAD in tags else None
-        y = lower_sgd_step(problem, x, y, steps.alpha, gen)
-        gen = factory.at(k, TAG_UPPER_GRAD, 0) if TAG_UPPER_GRAD in tags else None
-        gx, gy = problem.sample_upper_grads(x, y, gen)
-        gen = factory.at(k, TAG_HESS_OP, 0) if TAG_HESS_OP in tags else None
-        hvp = problem.sample_hess_operator(x, gen)
-        v = adjoint_richardson_step(problem, y, v, steps.eta, hvp, gy)
-        gen = factory.at(k, TAG_CROSS_OP, 0) if TAG_CROSS_OP in tags else None
-        jvp = problem.sample_cross_operator(x, gen)
-        x = x - steps.beta * hypergradient_estimate(gx, jvp, y, v)
-        total = float(x.sum()) + float(y.sum()) + float(v.sum())
-        if not math.isfinite(total):
+        y, v, gy, est = iterate(problem, factory, k, x, y, v, steps.alpha,
+                                steps.eta, _ONCE, _ONCE, 0, None)
+        x = x - steps.beta * est
+        if not _finite(x, y, v):
             raise DivergenceError(
                 f"nonfinite iterate at iteration {k} while building the "
                 "shared history", iteration=k)
@@ -287,29 +262,11 @@ def _branch_iteration(problem, steps: StepSizes, hist: _History, k: int,
     """Rerun iteration k from the shared history with R independent draw
     sets, all addressed at the reserved branch slot of mc.base_seed."""
     x_k = hist.xs[k]
-    y_prev = hist.ys[k - 1] if k > 0 else hist.y0
-    v_prev = hist.vs[k - 1] if k > 0 else hist.v0
-    reps = mc.replications
-    bf = StreamFactory(mc.base_seed)
-    tags = problem.stochastic_tags
-
-    gen = bf.at(k, TAG_LOWER_GRAD, BRANCH_SLOT) if TAG_LOWER_GRAD in tags else None
-    lg = problem.sample_lower_grad(x_k, y_prev, gen, reps=reps)
-    ys = y_prev - steps.alpha * lg
-
-    gen = bf.at(k, TAG_UPPER_GRAD, BRANCH_SLOT) if TAG_UPPER_GRAD in tags else None
-    gx, gy = problem.sample_upper_grads(x_k, ys, gen, reps=reps)
-
-    gen = bf.at(k, TAG_HESS_OP, BRANCH_SLOT) if TAG_HESS_OP in tags else None
-    hvp = problem.sample_hess_operator(x_k, gen, reps=reps)
-    vs = adjoint_richardson_step(problem, ys, v_prev, steps.eta, hvp, gy)
-    vs = np.broadcast_to(vs, ys.shape).copy() if vs.ndim == 1 else vs
-
-    gen = bf.at(k, TAG_CROSS_OP, BRANCH_SLOT) if TAG_CROSS_OP in tags else None
-    jvp = problem.sample_cross_operator(x_k, gen, reps=reps)
-    est = hypergradient_estimate(gx, jvp, ys, vs)
-    est = np.broadcast_to(est, gx.shape).copy() if est.ndim == 1 else est
-
+    ys, vs, gy, est = iterate(
+        problem, StreamFactory(mc.base_seed), k, x_k,
+        hist.ys[k - 1] if k > 0 else hist.y0,
+        hist.vs[k - 1] if k > 0 else hist.v0,
+        steps.alpha, steps.eta, _ONCE, _ONCE, BRANCH_SLOT, mc.replications)
     target = problem.solve_lower_hess(x_k, ys, gy)
     return _Branch(y=ys, v=vs, est=est, target=target)
 
@@ -652,16 +609,48 @@ def _geom_sum_report(mc: MCConfig) -> LemmaReport:
                               "random sequences, not iterations"])
 
 
-def run_lemma_suite(problem, config: RunConfig, mc: MCConfig) -> list:
-    """All checks in a fixed order; returns one report per lemma id."""
-    reports = [_geom_sum_report(mc)]
-    reports.append(check_lower_tracking(problem, config, mc))
+def _v_bound_report(problem, config: RunConfig) -> LemmaReport:
     _, _, v0 = initial_vectors(problem, config)
     derived = compute_derived_constants(problem.constants,
                                         v0_norm=float(np.linalg.norm(v0)))
     trace = run_ssaid(problem, dataclasses.replace(config, stride=1))
-    reports.append(check_v_bound(trace, problem.constants, derived))
-    reports.extend(check_bias_recursions(problem, config, mc))
-    reports.extend(check_coupled_recursion(problem, config, mc))
-    reports.append(check_cumulative_bounds(problem, config, mc))
+    return check_v_bound(trace, problem.constants, derived)
+
+
+# the suite in report order: (check, the ids of the reports it returns).
+# Each lambda looks its check up by name at call time, so a check swapped
+# on the module is the one that runs.
+_REGISTRY = (
+    (lambda p, c, mc: [_geom_sum_report(mc)], ("GeomSum",)),
+    (lambda p, c, mc: [check_lower_tracking(p, c, mc)], ("LowerTracking",)),
+    (lambda p, c, mc: [_v_bound_report(p, c)], ("VBound",)),
+    (lambda p, c, mc: check_bias_recursions(p, c, mc),
+     ("BiasDecoupling", "EstimatorBiasRecursion", "AdjointDrift",
+      "MeanSquareContraction")),
+    (lambda p, c, mc: check_coupled_recursion(p, c, mc),
+     ("CoupledRecursion", "HypergradBias", "HypergradMSE")),
+    (lambda p, c, mc: [check_cumulative_bounds(p, c, mc)],
+     ("CumulativeBias",)),
+)
+LEMMA_IDS = tuple(lid for _, ids in _REGISTRY for lid in ids)
+
+# accepted spellings of each id, matched case-insensitively: the id itself
+# and its snake_case form (HypergradMSE -> hypergrad_mse)
+_SPELLINGS = {spelling.lower(): lid for lid in LEMMA_IDS for spelling in (
+    lid, re.sub(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "_", lid))}
+
+
+def run_lemma_suite(problem, config: RunConfig, mc: MCConfig,
+                    lemma=None) -> list:
+    """All checks in a fixed order, one report per lemma id; with ``lemma``
+    (an id, in any case or in snake_case) only that lemma's report."""
+    want = None if lemma is None else _SPELLINGS.get(str(lemma).lower())
+    if lemma is not None and want is None:
+        raise InvalidParameterError(
+            f"unknown lemma {lemma!r}; known: {', '.join(LEMMA_IDS)}")
+    reports = []
+    for check, ids in _REGISTRY:
+        if want is None or want in ids:
+            reports.extend(r for r in check(problem, config, mc)
+                           if want in (None, r.lemma_id))
     return reports

@@ -11,12 +11,15 @@ guarantee.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import ssaid
 from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.harness import SweepSpec, compare_algorithms, kappa_sweep, rate_fit
 from ssaid.hypergradient import (StepSizes, compute_derived_constants,
@@ -171,8 +174,12 @@ def test_single_loop_cheaper_than_multiloop_at_matched_target():
 
 
 def _cli(args, cwd):
+    # an absolute path to the imported package, so the child finds it from
+    # any working directory (a relative PYTHONPATH=src would not resolve)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ssaid.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "ssaid", *args],
-                          cwd=cwd, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ssaid.baselines import (MultiLoopConfig, MultiLoopState, multiloop_step,
-                             resolve_multiloop_config, run_multiloop,
-                             theory_config, theory_loop_count)
+                             resolve_multiloop_config, run_multiloop)
 from ssaid.errors import DivergenceError, InvalidParameterError
 from ssaid.hypergradient import StepSizes, exact_hypergradient
 from ssaid.problems import (NoiseModel, make_logistic_problem,
@@ -235,33 +234,6 @@ def test_divergence_carries_partial_trace():
     err = info.value
     assert err.iteration > 0
     assert err.trace is not None and err.trace.n_rows >= 1
-
-
-# ---------------------------------------------------------------------------
-# classic loop-count schedule
-
-
-def test_theory_loop_count_values():
-    assert theory_loop_count(10.0, 1000) == math.ceil(10 * math.log(1000))
-    assert theory_loop_count(1.0, 2) == 1
-    # horizon 1 is floored at 2 inside the log
-    assert theory_loop_count(10.0, 1) == math.ceil(10 * math.log(2))
-
-
-def test_theory_loop_count_rejects_bad_inputs():
-    with pytest.raises(InvalidParameterError):
-        theory_loop_count(0.5, 100)
-    with pytest.raises(InvalidParameterError):
-        theory_loop_count(10.0, 0)
-
-
-def test_theory_config_uses_problem_kappa():
-    prob = make_quadratic_problem(dim_x=3, dim_y=3, kappa=5.0, seed=0)
-    cfg = theory_config(prob, horizon=100)
-    expected = math.ceil(prob.constants.kappa * math.log(100))
-    assert cfg.inner_iters == expected
-    assert cfg.solver_iters == expected
-    assert cfg.warm_start
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from ssaid.harness import (RateFit, SweepSpec, compare_algorithms,
 from ssaid.problems import (PlainQuadraticUpper, QuadraticBilevelProblem,
                             problem_to_json)
 from ssaid.ssaid import IterationTrace
+from ssaid.verification import LEMMA_IDS
 
 
 def trace_with_running_average(values):
@@ -292,6 +293,52 @@ def test_cli_verify_single_lemma(tmp_path):
     assert doc["verdict"] == "pass"
     assert doc["reports"][0]["lemma_id"] == "VBound"
     assert len(doc["reports"][0]["rows"]) == 500
+
+
+# every spelling of every lemma id that ``verify --lemma`` accepts: the id,
+# its lower-case form and its snake_case form
+LEMMA_SPELLINGS = {
+    "GeomSum": "geom_sum",
+    "LowerTracking": "lower_tracking",
+    "VBound": "v_bound",
+    "BiasDecoupling": "bias_decoupling",
+    "EstimatorBiasRecursion": "estimator_bias_recursion",
+    "AdjointDrift": "adjoint_drift",
+    "MeanSquareContraction": "mean_square_contraction",
+    "CoupledRecursion": "coupled_recursion",
+    "HypergradBias": "hypergrad_bias",
+    "HypergradMSE": "hypergrad_mse",
+    "CumulativeBias": "cumulative_bias",
+}
+TINY_VERIFY = ("--replications", "20", "--checkpoints", "1,3", "--K", "4")
+
+
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify_all")
+    ppath = gen_problem(out)
+    assert run_cli("verify", "--problem", str(ppath), "--all", *TINY_VERIFY,
+                   "--out-dir", str(out)) == 0
+    doc = json.loads(next(out.glob("lemma_all_*.json")).read_text())
+    return ppath, {r["lemma_id"]: r for r in doc["reports"]}
+
+
+def test_lemma_spellings_cover_the_registry():
+    assert tuple(LEMMA_SPELLINGS) == LEMMA_IDS
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_cli_verify_each_lemma_matches_all(lemma_id, verify_all, tmp_path):
+    ppath, all_reports = verify_all
+    spellings = (lemma_id, lemma_id.lower(), LEMMA_SPELLINGS[lemma_id])
+    for i, spelling in enumerate(spellings):
+        out = tmp_path / str(i)
+        code = run_cli("verify", "--problem", str(ppath), "--lemma", spelling,
+                       *TINY_VERIFY, "--out-dir", str(out))
+        assert code == (0 if all_reports[lemma_id]["passed"] else 2), spelling
+        doc = json.loads(next(out.glob(f"lemma_{lemma_id}_*.json")).read_text())
+        assert [r["lemma_id"] for r in doc["reports"]] == [lemma_id]
+        assert doc["reports"][0] == all_reports[lemma_id], spelling
 
 
 def test_cli_verify_all_passes_and_is_deterministic(tmp_path):

@@ -22,9 +22,9 @@ from ssaid.problems import (
     problem_hash,
     problem_to_json,
     reference_solution,
-    sample_oracles,
 )
-from ssaid.streams import TAG_HESS_OP, TAG_LOWER_GRAD, StreamFactory, stream
+from ssaid.streams import (TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD,
+                           StreamFactory, stream)
 
 
 def fd_grad(fun, z, h=1e-6):
@@ -358,17 +358,28 @@ def test_sampled_hess_operator_stays_within_spectrum():
         assert np.linalg.norm(hv) <= lip * np.linalg.norm(v) + 1e-9
 
 
-def test_sample_bundle_wires_streams_apart():
+def test_stream_addresses_wire_samples_apart():
     prob = tiny_quadratic(sigma=1.0, radius=0.5)
     rng = np.random.default_rng(18)
     x, y = rng.standard_normal(3), rng.standard_normal(4)
+
+    def draws(factory, iteration):
+        lower = prob.sample_lower_grad(
+            x, y, factory.at(iteration, TAG_LOWER_GRAD))
+        gx, _ = prob.sample_upper_grads(
+            x, y, factory.at(iteration, TAG_UPPER_GRAD))
+        return lower, gx
+
     fac = StreamFactory(21)
-    b1 = sample_oracles(prob, x, y, fac, iteration=0)
-    b2 = sample_oracles(prob, x, y, StreamFactory(21), iteration=0)
-    np.testing.assert_array_equal(b1.lower_grad, b2.lower_grad)
-    np.testing.assert_array_equal(b1.upper_grad_x, b2.upper_grad_x)
-    b3 = sample_oracles(prob, x, y, StreamFactory(21), iteration=1)
-    assert not np.array_equal(b1.lower_grad, b3.lower_grad)
+    b1 = draws(fac, 0)
+    draws(fac, 5)  # other addresses in between do not shift the draws
+    b2 = draws(StreamFactory(21), 0)
+    np.testing.assert_array_equal(b1[0], b2[0])
+    np.testing.assert_array_equal(b1[1], b2[1])
+    np.testing.assert_array_equal(draws(fac, 0)[0], b1[0])
+    b3 = draws(StreamFactory(21), 1)
+    assert not np.array_equal(b1[0], b3[0])
+    assert not np.array_equal(b1[1], b3[1])
 
 
 def test_plain_quadratic_upper_is_flagged():
