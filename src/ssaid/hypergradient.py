@@ -131,6 +131,10 @@ class StepSizes:
             raise InvalidParameterError("beta must be >= 0")
         if self.horizon_k < 1:
             raise InvalidParameterError("horizon_k must be >= 1")
+        # 0-d array copies for the iteration kernel: numpy scales a small
+        # vector by them faster than by Python floats, with the same bits
+        object.__setattr__(self, "_arrays", tuple(
+            np.array(v) for v in (self.alpha, self.eta, self.beta)))
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "eta": self.eta, "beta": self.beta,

@@ -150,11 +150,6 @@ def _pseudo_huber(u: np.ndarray, delta: float) -> np.ndarray:
     return delta * delta * (np.sqrt(1.0 + (u / delta) ** 2) - 1.0)
 
 
-def _pseudo_huber_grad(u: np.ndarray, delta: float) -> np.ndarray:
-    """Derivative of the pseudo-Huber kernel; bounded by delta in magnitude."""
-    return u * delta / np.sqrt(delta * delta + u * u)
-
-
 @dataclass(frozen=True)
 class PseudoHuberCosineUpper:
     """f(x, y) = sum_i pseudo_huber(y_i - t_i; delta) + a * sum_j cos(w x_j).
@@ -180,16 +175,22 @@ class PseudoHuberCosineUpper:
             raise InvalidParameterError("huber_delta must be positive")
         if self.cos_amp < 0 or self.cos_freq < 0:
             raise InvalidParameterError("cos_amp and cos_freq must be >= 0")
+        # 0-d array copies, for speed (see StepSizes)
+        for name, val in (("_slope", -self.cos_amp * self.cos_freq),
+                          ("_freq", self.cos_freq), ("_delta", self.huber_delta),
+                          ("_delta_sq", self.huber_delta * self.huber_delta)):
+            object.__setattr__(self, name, np.array(val))
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum(_pseudo_huber(y - self.target, self.huber_delta))
                      + self.cos_amp * np.sum(np.cos(self.cos_freq * x)))
 
     def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return -self.cos_amp * self.cos_freq * np.sin(self.cos_freq * x)
+        return self._slope * np.sin(self._freq * x)
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _pseudo_huber_grad(y - self.target, self.huber_delta)
+        u = y - self.target
+        return u * self._delta / np.sqrt(self._delta_sq + u * u)
 
     def grad_bound(self, dim_x: int, dim_y: int) -> float:
         return dim_y * self.huber_delta + self.cos_amp * self.cos_freq * dim_x
@@ -371,6 +372,7 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         if self.noise.hess_scale > 0.0:
             tags.add(TAG_HESS_OP)
         self._stochastic_tags = frozenset(tags)
+        self._noise_scale = np.array(self.noise.sigma / math.sqrt(n))  # 0-d
 
     # dims
     @property
@@ -431,8 +433,7 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         if self.noise.sigma == 0.0:
             return mean.copy() if reps is not None else mean
         shape = (n,) if reps is None else (reps, n)
-        noise = gen.standard_normal(shape) * (self.noise.sigma / math.sqrt(n))
-        return mean + noise
+        return mean + gen.standard_normal(shape) * self._noise_scale
 
     def sample_hess_operator(self, x, gen, reps=None):
         if self.noise.hess_scale == 0.0:

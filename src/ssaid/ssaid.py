@@ -133,8 +133,12 @@ def iterate(problem, factory: StreamFactory, k, x, y, v, alpha, eta, inner,
 
 def _finite(x, y, v) -> bool:
     """Whether the entries of the three iterates sum to a finite number,
-    which fails on any nan or inf and on overflow.  np.add.reduce is the
-    reduction behind ndarray.sum without its Python wrapper."""
+    which fails on any nan or inf and on overflow.  A magnitude sum below
+    1e300, on Python floats, settles it cheaply: then every entry is finite
+    and no partial sum can overflow."""
+    if (sum(map(abs, x.tolist())) + sum(map(abs, y.tolist()))
+            + sum(map(abs, v.tolist()))) < 1e300:
+        return True
     add = np.add.reduce
     return math.isfinite(float(add(x)) + float(add(y)) + float(add(v)))
 
@@ -142,15 +146,15 @@ def _finite(x, y, v) -> bool:
 def ssaid_step(state: SSAIDState, problem, factory: StreamFactory) -> SSAIDState:
     """One full iteration; draws live at (seed, k, tag, 0)."""
     k = state.k
-    steps = state.steps
     x = state.x
+    alpha, eta, beta = state.steps._arrays
     y, v, _, est = iterate(problem, factory, k, x, state.y_hat, state.v_hat,
-                           steps.alpha, steps.eta, _ONCE, _ONCE, 0, None)
-    x_new = x - steps.beta * est
+                           alpha, eta, _ONCE, _ONCE, 0, None)
+    x_new = x - beta * est
     if not _finite(x_new, y, v):
         raise DivergenceError(
             f"nonfinite iterate at iteration {k}", iteration=k, state=state)
-    return SSAIDState(x=x_new, y_hat=y, v_hat=v, k=k + 1, steps=steps)
+    return SSAIDState(x=x_new, y_hat=y, v_hat=v, k=k + 1, steps=state.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -72,17 +72,21 @@ class StreamFactory:
     def at(self, iteration: int, tag: int, slot: int = 0) -> np.random.Generator:
         entry = self._cache.get(tag)
         if entry is None:
-            bg = np.random.Philox(counter=[0, slot, iteration, tag],
+            bg = np.random.Philox(counter=[0, 0, 0, tag],
                                   key=[self.seed, _KEY_SALT])
-            gen = np.random.Generator(bg)
-            self._cache[tag] = (bg, gen, bg.state)
-            return gen
-        bg, gen, state = entry
-        state["state"]["counter"][:] = (0, slot, iteration, tag)
-        # buffer_pos = 4 marks the cached block exhausted, forcing the next
-        # draw to regenerate from the counter we just wrote
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
+            # plain ints (the key as the constructor derived it) set several
+            # times faster than uint64 arrays; buffer_pos = 4 forces each
+            # draw to regenerate from the counter
+            counter = [0, 0, 0, tag]
+            state = {"bit_generator": "Philox",
+                     "state": {"counter": counter,
+                               "key": [int(w) for w in bg.state["state"]["key"]]},
+                     "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                     "has_uint32": 0, "uinteger": 0}
+            entry = self._cache[tag] = (bg, np.random.Generator(bg), state,
+                                        counter)
+        bg, gen, state, counter = entry
+        counter[1] = slot
+        counter[2] = iteration
         bg.state = state
         return gen

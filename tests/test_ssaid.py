@@ -18,6 +18,7 @@ from ssaid.ssaid import (
     IterationTrace,
     RunConfig,
     SSAIDState,
+    _finite,
     oracle_complexity,
     run_ssaid,
     ssaid_step,
@@ -235,6 +236,22 @@ def test_oversized_upper_step_raises_divergence_with_partial_trace():
     assert err.iteration > 0
     assert err.trace is not None and err.trace.n_rows >= 1
     assert np.all(np.isfinite(err.state.x))
+
+
+def test_finite_check_equals_summed_reductions():
+    # the magnitude shortcut must agree with the plain check, including
+    # finite entries whose sums overflow and sums that cancel back
+    big = 1e308
+    vecs = [np.zeros(3), np.full(3, 1e299), np.full(3, big), np.full(3, -big),
+            np.array([big, -big, 1.0]), np.array([big, big, -big]),
+            np.array([np.nan, 0.0, 0.0]), np.array([-np.inf, 1.0, 0.0])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in vecs:
+            for y in vecs:
+                for v in (np.zeros(3), np.full(3, big)):
+                    want = math.isfinite(float(x.sum()) + float(y.sum())
+                                         + float(v.sum()))
+                    assert _finite(x, y, v) == want, (x, y, v)
 
 
 # ---------------------------------------------------------------------------
