@@ -470,17 +470,19 @@ def _check_constants_match(stored: ProblemConstants, recomputed: ProblemConstant
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows; minimum(t, -t) rather than -abs(t) keeps
+    # the sign of a NaN input, so every bit equals the two-sided masked form
+    e = np.exp(np.minimum(t, -t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(t):
     return np.logaddexp(0.0, t)
 
+
+# rows per stacked solve in LogisticBilevelProblem.solve_lower_hess; bounds
+# the (rows, n, p) temporaries, so peak memory does not grow with the rows
+_SOLVE_BLOCK = 256
 
 # max |s''| of the sigmoid, attained at s = 1/2 +- 1/(2 sqrt 3)
 _SIGMOID_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -504,6 +506,7 @@ class LogisticBilevelProblem(_BilevelProblemBase):
     noise: NoiseModel = field(default_factory=NoiseModel)
     constants: ProblemConstants | None = None
     seed: int | None = None
+    # only "direct" remains; the field keeps problem JSON and hashes unchanged
     adjoint_method: str = "direct"
 
     family = "logistic"
@@ -519,8 +522,9 @@ class LogisticBilevelProblem(_BilevelProblemBase):
             raise InvalidParameterError("reg must be positive")
         if not 1 <= self.batch_size <= self.features.shape[0]:
             raise InvalidParameterError("batch_size must be in [1, n_rows]")
-        if self.adjoint_method not in ("direct", "cg"):
-            raise InvalidParameterError("adjoint_method must be 'direct' or 'cg'")
+        if self.adjoint_method != "direct":
+            raise InvalidParameterError(
+                f"adjoint_method must be 'direct', got {self.adjoint_method!r}")
         if self.noise.sigma != 0.0 or self.noise.hess_scale != 0.0:
             raise InvalidParameterError(
                 "logistic lower-level noise comes from minibatching; "
@@ -595,19 +599,26 @@ class LogisticBilevelProblem(_BilevelProblemBase):
         return -((w * (v @ self.features.T)) @ self.cross_rows)
 
     def solve_lower_hess(self, x, y, rhs):
-        if rhs.ndim > 1 or y.ndim > 1:
-            rhs2 = np.broadcast_to(rhs, (max(np.atleast_2d(rhs).shape[0],
-                                             np.atleast_2d(y).shape[0]), self.dim_y))
-            y2 = np.atleast_2d(y)
-            out = np.empty_like(rhs2, dtype=float)
-            for i in range(rhs2.shape[0]):
-                yi = y2[i] if y2.shape[0] > 1 else y2[0]
-                out[i] = self.solve_lower_hess(x, yi, rhs2[i])
-            return out
-        if self.adjoint_method == "direct":
+        """Solve H(x, y) v = rhs; a leading row axis on y or rhs (or both)
+        gives one system per row, each with the same bits as its 1-D solve."""
+        if rhs.ndim == 1 and y.ndim == 1:
             return np.linalg.solve(self.lower_hess_dense(x, y), rhs)
-        return _conjugate_gradient(lambda v: self.lower_hess_vec(x, y, v), rhs,
-                                   tol=REFERENCE_TOL)
+        y2, rhs2 = np.broadcast_arrays(y, rhs)
+        rows = y2.shape[0]
+        shift = self.cross_rows @ x
+        ridge = self.reg * np.eye(self.dim_y)
+        out = np.empty((rows, self.dim_y))
+        for lo in range(0, rows, _SOLVE_BLOCK):
+            blk = slice(lo, lo + _SOLVE_BLOCK)
+            # a (1, n) matmul per row, and one gemm and one gesv per row,
+            # exactly as in the 1-D path; a plain (rows, n) gemm for the
+            # margins would round differently
+            margins = (y2[blk, None, :] @ self.features.T)[:, 0, :] - shift
+            s = _sigmoid(margins)
+            w = s * (1.0 - s)
+            hess = ridge + (self.features.T * w[:, None, :]) @ self.features
+            out[blk] = np.linalg.solve(hess, rhs2[blk, :, None])[..., 0]
+        return out
 
     def lower_solution(self, x):
         y = np.zeros(self.dim_y)
@@ -681,30 +692,6 @@ class LogisticBilevelProblem(_BilevelProblemBase):
                 "...b,...bm->...m", w * np.einsum("...bn,...n->...b", a, v), d)
 
         return jvp
-
-
-def _conjugate_gradient(matvec, rhs, tol, max_iters=None):
-    """Plain CG on an SPD operator, run to an absolute residual tolerance."""
-    n = rhs.shape[0]
-    max_iters = max_iters or 20 * n
-    v = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rr = r @ r
-    for _ in range(max_iters):
-        if math.sqrt(rr) <= tol:
-            return v
-        hp = matvec(p)
-        a = rr / (p @ hp)
-        v = v + a * p
-        r = r - a * hp
-        rr_new = r @ r
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    res = math.sqrt(rr)
-    if res <= 1e3 * tol:  # accept near-misses from roundoff accumulation
-        return v
-    raise ConvergenceFailureError(f"CG stalled at residual {res:.3e}", residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +775,7 @@ def make_logistic_problem(dim_x: int, dim_y: int, n_rows: int, seed: int = 0, *,
                           noise: NoiseModel | None = None,
                           huber_delta: float = 0.5,
                           cos_amp: float = 0.01,
-                          cos_freq: float = 1.0,
-                          adjoint_method: str = "direct") -> LogisticBilevelProblem:
+                          cos_freq: float = 1.0) -> LogisticBilevelProblem:
     """Random ridge-logistic instance; rho > 0 by construction."""
     if min(dim_x, dim_y, n_rows) < 1:
         raise InvalidParameterError("dimensions and n_rows must be >= 1")
@@ -802,8 +788,7 @@ def make_logistic_problem(dim_x: int, dim_y: int, n_rows: int, seed: int = 0, *,
                                    cos_freq=cos_freq, huber_delta=huber_delta)
     return LogisticBilevelProblem(features=features, cross_rows=cross_rows,
                                   reg=reg, batch_size=batch_size, upper=upper,
-                                  noise=noise, seed=int(seed),
-                                  adjoint_method=adjoint_method)
+                                  noise=noise, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ssaid.problems import (
     ProblemConstants,
     PseudoHuberCosineUpper,
     QuadraticBilevelProblem,
+    _SOLVE_BLOCK,
+    _sigmoid,
     adjoint_solution,
     lower_solution,
     make_logistic_problem,
@@ -135,6 +138,29 @@ def test_logistic_grad_and_operators_match_fd():
     np.testing.assert_allclose(dense @ v, prob.lower_hess_vec(x, y, v), rtol=1e-12)
 
 
+def _masked_sigmoid(t):
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                        745.2, -745.2, 709.8, -709.8, 36.7, -36.7, 5e-324, -5e-324])
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40, 81, 1023, 10_240, 80_000):
+        t = np.concatenate([special, rng.uniform(-800.0, 800.0, n),
+                            rng.standard_normal(n)])
+        rng.shuffle(t)
+        # offset and strided views move the vector loops off their alignment
+        for view in (t[:n], t[1:n + 1], t[3:], t[::3]):
+            got, want = _sigmoid(view), _masked_sigmoid(view)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_upper_gradients_match_fd():
     rng = np.random.default_rng(3)
     ups = [PseudoHuberCosineUpper(target=rng.standard_normal(4), cos_amp=0.3,
@@ -190,14 +216,16 @@ def test_adjoint_solution_solves_linear_system():
                                    prob.upper.grad_y(x, y), atol=1e-9)
 
 
-def test_logistic_cg_adjoint_matches_direct():
-    direct = tiny_logistic(adjoint_method="direct")
-    cg = tiny_logistic(adjoint_method="cg")
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        x, y = rng.standard_normal(3), rng.standard_normal(4)
-        np.testing.assert_allclose(adjoint_solution(cg, x, y),
-                                   adjoint_solution(direct, x, y), atol=1e-9)
+def test_logistic_cg_adjoint_is_rejected():
+    prob = tiny_logistic()
+    assert prob.adjoint_method == "direct"
+    with pytest.raises(InvalidParameterError):
+        replace(prob, adjoint_method="cg")
+    doc = json.loads(problem_to_json(prob))
+    assert doc["adjoint_method"] == "direct"
+    doc["adjoint_method"] = "cg"
+    with pytest.raises(InvalidParameterError):
+        problem_from_json(json.dumps(doc))
 
 
 def test_reference_solution_gradient_matches_fd_of_implicit_objective():
@@ -214,15 +242,22 @@ def test_reference_solution_gradient_matches_fd_of_implicit_objective():
         assert ref.residuals["adjoint"] <= 1e-9
 
 
-def test_batched_hess_solve_matches_loop():
-    prob = tiny_quadratic()
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_batched_hess_solve_matches_loop(family):
+    prob = tiny_quadratic() if family == "quadratic" else tiny_logistic()
     rng = np.random.default_rng(8)
-    x, y = rng.standard_normal(3), rng.standard_normal(4)
-    rhs = rng.standard_normal((6, 4))
-    batched = prob.solve_lower_hess(x, y, rhs)
-    for i in range(6):
-        np.testing.assert_allclose(batched[i], prob.solve_lower_hess(x, y, rhs[i]),
-                                   rtol=1e-12)
+    x = rng.standard_normal(3)
+    for rows in (1, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1):
+        ys = 3.0 * rng.standard_normal((rows, 4))
+        rhs = rng.standard_normal((rows, 4))
+        # one row per system, a shared y, and a shared right-hand side
+        for y, b in ((ys, rhs), (ys[0], rhs), (ys, rhs[0])):
+            batched = np.broadcast_to(prob.solve_lower_hess(x, y, b), (rows, 4))
+            y2 = np.broadcast_to(y, (rows, 4))
+            b2 = np.broadcast_to(b, (rows, 4))
+            for i in range(rows):
+                assert np.array_equal(batched[i],
+                                      prob.solve_lower_hess(x, y2[i], b2[i]))
 
 
 # ---------------------------------------------------------------------------
