@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -296,44 +296,30 @@ def _summarize(rows, spec: SweepSpec):
     return medians, exponents
 
 
-def _cell(problem, kappa, alg, seed, epsilon, max_iters):
-    kind, preset = parse_algorithm(alg, kappa)
-    return _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters)
-
-
-def kappa_sweep(spec: SweepSpec, threads: int = 1,
-                processes: int = 1) -> SweepResult:
+def kappa_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run every (kappa, seed, algorithm) cell and summarize.
 
-    Cells are independent.  With processes > 1 they run in that many worker
-    processes, which is what makes the cells parallel: with threads > 1
-    they run on a thread pool in this process, where the interpreter lock
-    lets one step run at a time.  Either way results are collected in
-    submission order and each cell computes the same bits, so the output is
-    identical for any worker count.
+    Cells are independent; with threads > 1 they are dispatched to a pool
+    and collected in submission order, so the output is identical for any
+    thread count.
     """
-    if threads < 1 or processes < 1:
-        raise InvalidParameterError("threads and processes must be >= 1")
-    if threads > 1 and processes > 1:
-        raise InvalidParameterError("pass threads or processes, not both")
+    if threads < 1:
+        raise InvalidParameterError("threads must be >= 1")
     problems = {kappa: _sweep_problem(spec, kappa) for kappa in spec.kappa_grid}
-    # largest kappa first: its cells run longest, so a pool finishes sooner
-    # when they start first
-    cells = [(kappa, seed, alg) for kappa in reversed(spec.kappa_grid)
+    cells = [(kappa, seed, alg) for kappa in spec.kappa_grid
              for seed in spec.seeds for alg in spec.algorithms]
-    args = [(problems[kappa], kappa, alg, seed, spec.epsilon, spec.max_iters)
-            for kappa, seed, alg in cells]
-    if processes > 1:
-        pool = ProcessPoolExecutor(max_workers=min(processes, len(cells)))
-    elif threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
+
+    def work(cell):
+        kappa, seed, alg = cell
+        kind, preset = parse_algorithm(alg, kappa)
+        return _run_to_epsilon(problems[kappa], kind, preset, seed,
+                               spec.epsilon, spec.max_iters)
+
+    if threads == 1:
+        outcomes = [work(c) for c in cells]
     else:
-        pool = None
-    if pool is None:
-        outcomes = [_cell(*a) for a in args]
-    else:
-        with pool:
-            outcomes = list(pool.map(_cell, *zip(*args)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(work, cells))
     rows = [SweepRow(kappa=c[0], seed=c[1], algorithm=c[2],
                      complexity=out[0], censored=out[1])
             for c, out in zip(cells, outcomes)]
@@ -342,12 +328,11 @@ def kappa_sweep(spec: SweepSpec, threads: int = 1,
     return SweepResult(rows=rows, medians=medians, exponents=exponents)
 
 
-def compare_algorithms(spec: SweepSpec, threads: int = 1,
-                       processes: int = 1) -> SweepResult:
+def compare_algorithms(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Matched-target oracle-count comparison; needs >= 2 algorithms."""
     if len(spec.algorithms) < 2:
         raise InvalidParameterError("comparison needs at least 2 algorithms")
-    return kappa_sweep(spec, threads=threads, processes=processes)
+    return kappa_sweep(spec, threads=threads)
 
 
 def sweep_csv(result: SweepResult) -> str:

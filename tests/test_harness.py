@@ -168,15 +168,6 @@ def test_sweep_rows_sorted_and_deterministic():
         "kappa,seed,algorithm,complexity,censored"
 
 
-def test_sweep_in_processes_matches_serial():
-    spec = small_spec(seeds=(2, 0, 1), algorithms=("ssaid", "multiloop:2:2"))
-    serial = kappa_sweep(spec)
-    pooled = compare_algorithms(spec, processes=2)
-    assert sweep_csv(pooled) == sweep_csv(serial)
-    assert pooled.medians == serial.medians
-    assert pooled.exponents == serial.exponents
-
-
 def test_unreachable_epsilon_censors_and_unresolves():
     spec = small_spec(kappa_grid=(2.0,), epsilon=1e-15, max_iters=60)
     result = kappa_sweep(spec)
@@ -221,10 +212,6 @@ def test_sweep_summary_json_shape():
 def test_threads_argument_validated():
     with pytest.raises(InvalidParameterError):
         kappa_sweep(small_spec(), threads=0)
-    with pytest.raises(InvalidParameterError):
-        kappa_sweep(small_spec(), processes=0)
-    with pytest.raises(InvalidParameterError):
-        kappa_sweep(small_spec(), threads=2, processes=2)
 
 
 # ---------------------------------------------------------------------------
