@@ -575,7 +575,9 @@ class LogisticBilevelProblem(_BilevelProblemBase):
     # --- mean oracles ---------------------------------------------------
 
     def _margins(self, x, y):
-        return y @ self.features.T - self.cross_rows @ x
+        # y[..., None, :] makes each row of a stacked y one gemv, as for 1-D y;
+        # a plain (rows, n) @ (n, p) gemm would round differently
+        return (y[..., None, :] @ self.features.T)[..., 0, :] - self.cross_rows @ x
 
     def lower_value(self, x, y) -> float:
         return float(0.5 * self.reg * y @ y + np.sum(_softplus(self._margins(x, y))))
@@ -584,9 +586,11 @@ class LogisticBilevelProblem(_BilevelProblemBase):
         return self.reg * y + _sigmoid(self._margins(x, y)) @ self.features
 
     def lower_hess_dense(self, x, y):
+        """H(x, y); a leading row axis on y gives one Hessian (one gemm) per row."""
         s = _sigmoid(self._margins(x, y))
         w = s * (1.0 - s)
-        return self.reg * np.eye(self.dim_y) + (self.features.T * w) @ self.features
+        return (self.reg * np.eye(self.dim_y)
+                + (self.features.T * w[..., None, :]) @ self.features)
 
     def lower_hess_vec(self, x, y, v):
         s = _sigmoid(self._margins(x, y))
@@ -604,20 +608,12 @@ class LogisticBilevelProblem(_BilevelProblemBase):
         if rhs.ndim == 1 and y.ndim == 1:
             return np.linalg.solve(self.lower_hess_dense(x, y), rhs)
         y2, rhs2 = np.broadcast_arrays(y, rhs)
-        rows = y2.shape[0]
-        shift = self.cross_rows @ x
-        ridge = self.reg * np.eye(self.dim_y)
-        out = np.empty((rows, self.dim_y))
-        for lo in range(0, rows, _SOLVE_BLOCK):
+        out = np.empty(y2.shape)
+        for lo in range(0, y2.shape[0], _SOLVE_BLOCK):
             blk = slice(lo, lo + _SOLVE_BLOCK)
-            # a (1, n) matmul per row, and one gemm and one gesv per row,
-            # exactly as in the 1-D path; a plain (rows, n) gemm for the
-            # margins would round differently
-            margins = (y2[blk, None, :] @ self.features.T)[:, 0, :] - shift
-            s = _sigmoid(margins)
-            w = s * (1.0 - s)
-            hess = ridge + (self.features.T * w[:, None, :]) @ self.features
-            out[blk] = np.linalg.solve(hess, rhs2[blk, :, None])[..., 0]
+            # one gesv per row, as in the 1-D path
+            out[blk] = np.linalg.solve(self.lower_hess_dense(x, y2[blk]),
+                                       rhs2[blk, :, None])[..., 0]
         return out
 
     def lower_solution(self, x):

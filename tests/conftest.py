@@ -5,8 +5,12 @@ examples in the same order on every run, and no example database, so the
 suite stays deterministic.
 """
 
-from hypothesis import settings
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself without hypothesis
+    settings = None
 
-settings.register_profile("ssaid", derandomize=True, database=None,
-                          deadline=None, max_examples=60)
-settings.load_profile("ssaid")
+if settings is not None:
+    settings.register_profile("ssaid", derandomize=True, database=None,
+                              deadline=None, max_examples=60)
+    settings.load_profile("ssaid")

@@ -1,11 +1,15 @@
 """Property tests: invariants checked over drawn inputs (see conftest.py)."""
 
 import numpy as np
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+import pytest
 
-from ssaid.problems import _SOLVE_BLOCK, make_logistic_problem
+pytest.importorskip("hypothesis")
+
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from ssaid.problems import _SOLVE_BLOCK, make_logistic_problem  # noqa: E402
 
 _VALUES = st.floats(-50.0, 50.0, allow_nan=False)
 # few rows, and row counts on each side of one and two solve blocks
