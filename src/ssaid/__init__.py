@@ -2,8 +2,7 @@
 differentiation, synthetic ground-truth problems, a multi-loop baseline, and
 a Monte-Carlo verifier for the method's convergence bounds."""
 
-from .baselines import (MultiLoopConfig, MultiLoopState, multiloop_step,
-                        resolve_multiloop_config, run_multiloop)
+from .baselines import MultiLoopConfig, multiloop_step, run_multiloop
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
@@ -12,17 +11,15 @@ from .harness import (RateFit, SweepResult, SweepRow, SweepSpec,
                       rate_fit, sweep_csv, sweep_summary_json)
 from .hypergradient import (DerivedConstants, StepSizes, beta_stability_cap,
                             compute_derived_constants, compute_l_phi,
-                            default_step_sizes, exact_hypergradient,
-                            stochastic_hypergradient, validate_step_sizes)
+                            default_step_sizes)
 from .problems import (LogisticBilevelProblem, NoiseModel, ProblemConstants,
                        PseudoHuberCosineUpper, QuadraticBilevelProblem,
-                       ReferenceSolution, adjoint_solution, lower_solution,
+                       ReferenceSolution, lower_solution,
                        make_logistic_problem, make_quadratic_problem,
                        problem_from_json, problem_hash, problem_to_json,
                        reference_solution)
 from .ssaid import (IterationTrace, RunConfig, SSAIDState, initial_vectors,
-                    oracle_complexity, resolve_step_sizes, run_ssaid,
-                    ssaid_step)
+                    resolve_step_sizes, run_ssaid, ssaid_step)
 from .streams import StreamFactory, stream
 from .verification import (LEMMA_IDS, CheckRow, LemmaReport, MCConfig,
                            check_bias_recursions, check_coupled_recursion,

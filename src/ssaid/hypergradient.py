@@ -5,13 +5,12 @@ The implicit objective phi(x) = f(x, y*(x)) has gradient
     grad phi(x) = grad_x f(x, y*) - (d^2 g / dx dy)(x, y*) v*,
     v* = (d^2 g / dy dy)^{-1}(x, y*) grad_y f(x, y*).
 
-This module computes that gradient exactly from a problem's reference
-solvers, forms its single-sample stochastic analogue at arbitrary
-(x, y_hat, v_hat), and derives the scalar constants (c0..c3, l_phi) that
-bound tracking error, estimator bias, and smoothness of phi.  The step-size
-schedule picks the largest upper step allowed by every one of the derived
-stability conditions plus the 1/sqrt(horizon) decay that yields the target
-stationarity rate.
+``reference_solution(problem, x).grad_phi`` computes that gradient exactly
+from a problem's reference solvers.  This module derives the scalar
+constants (c0..c3, l_phi) that bound tracking error, estimator bias, and
+smoothness of phi.  The step-size schedule picks the largest upper step
+allowed by every one of the derived stability conditions plus the
+1/sqrt(horizon) decay that yields the target stationarity rate.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .problems import ProblemConstants, reference_solution
-from .streams import TAG_CROSS_OP, TAG_UPPER_GRAD
+from .problems import ProblemConstants
 
 __all__ = [
     "DerivedConstants",
@@ -31,9 +29,7 @@ __all__ = [
     "compute_l_phi",
     "compute_derived_constants",
     "default_step_sizes",
-    "validate_step_sizes",
-    "exact_hypergradient",
-    "stochastic_hypergradient",
+    "check_lower_rates",
 ]
 
 
@@ -171,41 +167,11 @@ def default_step_sizes(derived: DerivedConstants, constants: ProblemConstants,
     return StepSizes(alpha=alpha, eta=eta, beta=beta, horizon_k=horizon_k)
 
 
-def validate_step_sizes(steps: StepSizes, constants: ProblemConstants,
-                        derived: DerivedConstants) -> None:
-    """Raise unless the step sizes satisfy every stability inequality."""
-    lip = constants.lipschitz_L
-    tol = 1e-12
-    if steps.alpha > 1.0 / lip + tol:
-        raise InvalidParameterError(f"alpha {steps.alpha} exceeds 1/L = {1.0 / lip}")
-    if steps.eta > 1.0 / lip + tol:
-        raise InvalidParameterError(f"eta {steps.eta} exceeds 1/L = {1.0 / lip}")
-    cap = beta_stability_cap(derived, constants, steps.alpha, steps.eta)
-    if steps.beta > cap * (1.0 + 1e-12):
-        raise InvalidParameterError(f"beta {steps.beta} exceeds stability cap {cap}")
-
-
-def exact_hypergradient(problem, x: np.ndarray) -> np.ndarray:
-    """Gradient of the implicit objective via the reference solvers."""
-    return reference_solution(problem, np.asarray(x, dtype=float)).grad_phi
-
-
-def stochastic_hypergradient(problem, x, y_hat, v_hat, factory,
-                             iteration: int = 0, slot: int = 0, reps=None):
-    """Single-sample estimate grad_x F(x, y_hat; xi) - (d^2 G / dx dy; zeta) v_hat.
-
-    One fresh, mutually independent draw of (xi, zeta); with ``reps`` the
-    draws are batched along a leading axis.
-    """
-    x = np.asarray(x, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    v_hat = np.asarray(v_hat, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y_hat))
-            and np.all(np.isfinite(v_hat))):
-        raise InvalidParameterError("inputs must be finite")
-    gx, _ = problem.sample_upper_grads(x, y_hat,
-                                       factory.at(iteration, TAG_UPPER_GRAD, slot),
-                                       reps=reps)
-    jvp = problem.sample_cross_operator(x, factory.at(iteration, TAG_CROSS_OP, slot),
-                                        reps=reps)
-    return gx - jvp(y_hat, v_hat)
+def check_lower_rates(steps: StepSizes, constants: ProblemConstants) -> None:
+    """Raise unless alpha, eta <= 1/L (up to a 1e-12 relative allowance),
+    the condition under which the lower and adjoint steps contract."""
+    cap = 1.0 / constants.lipschitz_L
+    for name, rate in (("alpha", steps.alpha), ("eta", steps.eta)):
+        if rate > cap * (1.0 + 1e-12):
+            raise InvalidParameterError(
+                f"{name}={rate} exceeds 1/L={cap} for this problem")

@@ -47,7 +47,6 @@ __all__ = [
     "make_quadratic_problem",
     "make_logistic_problem",
     "lower_solution",
-    "adjoint_solution",
     "reference_solution",
     "problem_to_json",
     "problem_from_json",
@@ -416,6 +415,10 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         return -(v @ self.coupling)
 
     def solve_lower_hess(self, x, y, rhs):
+        """Solve H v = rhs; a leading row axis on y or rhs (or both) gives
+        one system per row, each with the same bits as its 1-D solve."""
+        if y.ndim > rhs.ndim:
+            rhs = np.broadcast_to(rhs, y.shape)
         if rhs.ndim == 1:
             return cho_solve(self._chol, rhs)
         return cho_solve(self._chol, rhs.T).T
@@ -795,11 +798,6 @@ def lower_solution(problem, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("x must be finite")
     return problem.lower_solution(np.asarray(x, dtype=float))
-
-
-def adjoint_solution(problem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return problem.adjoint_solution(np.asarray(x, dtype=float),
-                                    np.asarray(y, dtype=float))
 
 
 @dataclass

@@ -38,7 +38,6 @@ __all__ = [
     "TRACE_COLUMNS",
     "ssaid_step",
     "run_ssaid",
-    "oracle_complexity",
     "iterate",
     "drive",
     "resolve_step_sizes",
@@ -212,10 +211,6 @@ class IterationTrace:
                 f"{int(self.mv_count[i])}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
     @classmethod
     def from_csv_text(cls, text: str) -> "IterationTrace":
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -288,13 +283,14 @@ def drive(step, state, horizon: int, stride: int, on_row):
     return state
 
 
-def _record_trace(problem, config: RunConfig, step, state, counts,
-                  steps=None) -> IterationTrace:
+def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
+                  counts) -> IterationTrace:
     """Drive ``step`` for ``config.horizon`` iterations with a reference row
     at every stride-th and the final one; ``counts`` is the per-iteration
     (gradient, matrix-vector) oracle bill.  Horizon 0 records the initial
     point.  A DivergenceError leaves carrying the rows recorded so far."""
     gc_inc, mv_inc = counts
+    steps = state.steps
     rows = []
 
     def on_row(k, x_before, st):
@@ -331,18 +327,5 @@ def run_ssaid(problem, config: RunConfig) -> IterationTrace:
     nonfinite iterate aborts with a DivergenceError carrying the rows
     recorded so far.
     """
-    step, state, counts = _ssaid_start(problem, config)
-    return _record_trace(problem, config, step, state, counts, state.steps)
+    return _record_trace(problem, config, *_ssaid_start(problem, config))
 
-
-def oracle_complexity(trace: IterationTrace, epsilon: float):
-    """Oracle count at the first recorded row whose running average of the
-    exact stationarity measure drops to epsilon; None if it never does."""
-    if epsilon <= 0:
-        raise InvalidParameterError("epsilon must be positive")
-    ra = trace.running_average()
-    hits = np.nonzero(ra <= epsilon)[0]
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    return int(max(int(trace.gc_count[i]), int(trace.mv_count[i])))

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
-from .hypergradient import DerivedConstants, StepSizes, compute_derived_constants
+from .hypergradient import (DerivedConstants, StepSizes, check_lower_rates,
+                            compute_derived_constants)
 from .problems import ProblemConstants, reference_solution
 from .ssaid import (_ONCE, IterationTrace, RunConfig, _finite,
                     initial_vectors, iterate, resolve_step_sizes, run_ssaid)
@@ -281,9 +282,7 @@ def _resolve_inputs(problem, config: RunConfig, mc: MCConfig,
     x0, y0, v0 = initial_vectors(problem, config)
     steps = resolve_step_sizes(problem, config, v0)
     c = problem.constants
-    lim = (1.0 + 1e-12) / c.lipschitz_L
-    _require(steps.alpha <= lim, "this check needs alpha <= 1/L")
-    _require(steps.eta <= lim, "this check needs eta <= 1/L")
+    check_lower_rates(steps, c)
     _require(mc.checkpoints[-1] <= config.horizon,
              "checkpoints must not exceed the run horizon")
     derived = compute_derived_constants(c, v0_norm=float(np.linalg.norm(v0)))

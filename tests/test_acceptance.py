@@ -22,11 +22,10 @@ import numpy as np
 import ssaid
 from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.harness import SweepSpec, compare_algorithms, kappa_sweep, rate_fit
-from ssaid.hypergradient import (StepSizes, compute_derived_constants,
-                                 exact_hypergradient, stochastic_hypergradient)
+from ssaid.hypergradient import StepSizes, compute_derived_constants
 from ssaid.problems import (NoiseModel, make_quadratic_problem,
                             reference_solution)
-from ssaid.ssaid import RunConfig, SSAIDState, run_ssaid, ssaid_step
+from ssaid.ssaid import RunConfig, SSAIDState, iterate, run_ssaid, ssaid_step
 from ssaid.streams import StreamFactory
 from ssaid.verification import MCConfig, check_v_bound, run_lemma_suite
 
@@ -49,7 +48,7 @@ def test_exact_hypergradient_matches_finite_differences():
         problem = make_quadratic_problem(5, 5, kappa, seed=seed)
         rng = np.random.default_rng(100 + seed)
         x = rng.standard_normal(5)
-        grad = exact_hypergradient(problem, x)
+        grad = reference_solution(problem, x).grad_phi
         fd = np.empty_like(grad)
         for i in range(5):
             e = np.zeros(5)
@@ -67,8 +66,9 @@ def test_noiseless_fixed_point_is_exact():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(6)
     ref = reference_solution(problem, x)
-    est = stochastic_hypergradient(problem, x, ref.y_star, ref.v_star,
-                                   StreamFactory(0))
+    # no lower or solver step: the kernel's estimate at the reference pair
+    est = iterate(problem, StreamFactory(0), 0, x, ref.y_star, ref.v_star,
+                  0.0, 0.0, (), (), 0, None)[3]
     assert np.linalg.norm(est - ref.grad_phi) <= 1e-12
 
     # frozen x: the solved lower pair must be a fixed point of the updates

@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from ssaid.baselines import (MultiLoopConfig, MultiLoopState, multiloop_step,
-                             resolve_multiloop_config, run_multiloop)
+from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import DivergenceError, InvalidParameterError
-from ssaid.hypergradient import StepSizes, exact_hypergradient
+from ssaid.hypergradient import StepSizes
 from ssaid.problems import (NoiseModel, make_logistic_problem,
                             make_quadratic_problem, reference_solution)
-from ssaid.ssaid import RunConfig, run_ssaid
-from ssaid.streams import StreamFactory
+from ssaid.ssaid import RunConfig, initial_vectors, resolve_step_sizes, run_ssaid
 
 
 def noisy_quadratic(seed=5):
@@ -103,7 +99,7 @@ def test_deep_loops_track_exact_gradient_descent():
     assert np.all(tr.v_err < 1e-10)
     x = np.zeros(3)
     for _ in range(5):
-        x = x - beta * exact_hypergradient(prob, x)
+        x = x - beta * reference_solution(prob, x).grad_phi
     assert np.linalg.norm(tr.final_state.x - x) < 1e-6
 
 
@@ -124,74 +120,28 @@ def test_inner_accuracy_improves_with_more_steps():
 
 
 # ---------------------------------------------------------------------------
-# warm vs cold restarts
-
-
-def test_cold_start_restarts_inner_loop_each_iteration():
-    prob = noisy_quadratic()
-    run = RunConfig(seed=11, horizon=6, steps="auto", stride=1)
-    warm = run_multiloop(prob, MultiLoopConfig(inner_iters=2, solver_iters=2,
-                                               warm_start=True), run)
-    cold = run_multiloop(prob, MultiLoopConfig(inner_iters=2, solver_iters=2,
-                                               warm_start=False), run)
-    assert warm.csv_text() != cold.csv_text()
-
-
-def test_cold_start_accuracy_is_iteration_independent():
-    # with a frozen upper iterate, a cold restart repeats the same inner
-    # trajectory (fresh noise aside), so the tracking error cannot trend
-    prob = make_quadratic_problem(dim_x=3, dim_y=3, kappa=5.0, seed=8)
-    run = RunConfig(seed=0, horizon=4, stride=1,
-                    steps=StepSizes(alpha=0.2, eta=0.2, beta=0.0,
-                                    horizon_k=4))
-    tr = run_multiloop(prob, MultiLoopConfig(inner_iters=3, solver_iters=3,
-                                             warm_start=False), run)
-    assert np.allclose(tr.y_err, tr.y_err[0], rtol=0, atol=1e-14)
-    warm = run_multiloop(prob, MultiLoopConfig(inner_iters=3, solver_iters=3,
-                                               warm_start=True), run)
-    assert warm.y_err[-1] < tr.y_err[-1]
-
-
-# ---------------------------------------------------------------------------
-# configuration resolution and validation
+# step sizes and configuration validation
 
 
 def test_resolution_fills_from_run_schedule():
     prob = noisy_quadratic()
     run = RunConfig(seed=0, horizon=100, steps="auto")
-    from ssaid.ssaid import initial_vectors, resolve_step_sizes
-    v0 = initial_vectors(prob, run)[2]
-    base = resolve_step_sizes(prob, run, v0)
-    cfg = resolve_multiloop_config(
-        prob, MultiLoopConfig(inner_iters=2, solver_iters=2), run)
-    assert cfg.alpha == base.alpha
-    assert cfg.eta == base.eta
-    assert cfg.beta == base.beta
-
-
-def test_eta_follows_alpha_override():
-    prob = noisy_quadratic()
-    run = RunConfig(seed=0, horizon=10, steps="auto")
-    cfg = resolve_multiloop_config(
-        prob, MultiLoopConfig(inner_iters=1, solver_iters=1, alpha=0.01), run)
-    assert cfg.eta == 0.01
-    cfg = resolve_multiloop_config(
-        prob, MultiLoopConfig(inner_iters=1, solver_iters=1, alpha=0.01,
-                              eta=0.02), run)
-    assert cfg.eta == 0.02
+    base = resolve_step_sizes(prob, run, initial_vectors(prob, run)[2])
+    tr = run_multiloop(prob, MultiLoopConfig(inner_iters=2, solver_iters=2),
+                       run)
+    assert tr.steps == base
+    assert tr.final_state.steps == base
 
 
 def test_lower_rate_cap_enforced():
     prob = noisy_quadratic()  # L > 10, so 1/L is well under 0.5
-    run = RunConfig(seed=0, horizon=10, steps="auto")
-    with pytest.raises(InvalidParameterError):
-        resolve_multiloop_config(
-            prob, MultiLoopConfig(inner_iters=1, solver_iters=1, alpha=0.5),
-            run)
-    with pytest.raises(InvalidParameterError):
-        resolve_multiloop_config(
-            prob, MultiLoopConfig(inner_iters=1, solver_iters=1, eta=0.5),
-            run)
+    cfg = MultiLoopConfig(inner_iters=1, solver_iters=1)
+    for alpha, eta in ((0.5, 0.5), (0.01, 0.5)):
+        run = RunConfig(seed=0, horizon=10,
+                        steps=StepSizes(alpha=alpha, eta=eta, beta=0.01,
+                                        horizon_k=10))
+        with pytest.raises(InvalidParameterError):
+            run_multiloop(prob, cfg, run)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -199,25 +149,14 @@ def test_lower_rate_cap_enforced():
     dict(inner_iters=1, solver_iters=0),
     dict(inner_iters=1.5, solver_iters=1),
     dict(inner_iters=True, solver_iters=1),
-    dict(inner_iters=1, solver_iters=1, alpha=-0.1),
-    dict(inner_iters=1, solver_iters=1, eta=0.0),
-    dict(inner_iters=1, solver_iters=1, beta=-1.0),
-    dict(inner_iters=1, solver_iters=1, beta=math.inf),
+    dict(inner_iters=-2, solver_iters=1),
+    dict(inner_iters=1, solver_iters=np.int64(0)),
+    dict(inner_iters="2", solver_iters=1),
+    dict(inner_iters=1, solver_iters=None),
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(InvalidParameterError):
         MultiLoopConfig(**kwargs)
-
-
-def test_step_requires_resolved_config():
-    prob = noisy_quadratic()
-    state = MultiLoopState(x=np.zeros(4), y_hat=np.zeros(3),
-                           v_hat=np.zeros(3), k=0, y_init=np.zeros(3),
-                           v_init=np.zeros(3))
-    with pytest.raises(InvalidParameterError):
-        multiloop_step(state, prob, MultiLoopConfig(inner_iters=1,
-                                                    solver_iters=1),
-                       StreamFactory(0))
 
 
 def test_divergence_carries_partial_trace():
@@ -225,9 +164,10 @@ def test_divergence_carries_partial_trace():
     prob = QuadraticBilevelProblem(hess=np.eye(2), coupling=np.eye(2),
                                    offset=np.zeros(2),
                                    upper=PlainQuadraticUpper(target=np.zeros(2)))
-    cfg = MultiLoopConfig(inner_iters=2, solver_iters=2, alpha=1.0, eta=1.0,
-                          beta=50.0)
-    run = RunConfig(seed=0, horizon=500, stride=1, x0=[1.0, -1.0])
+    cfg = MultiLoopConfig(inner_iters=2, solver_iters=2)
+    run = RunConfig(seed=0, horizon=500, stride=1, x0=[1.0, -1.0],
+                    steps=StepSizes(alpha=1.0, eta=1.0, beta=50.0,
+                                    horizon_k=500))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
             run_multiloop(prob, cfg, run)
@@ -243,7 +183,7 @@ def test_divergence_carries_partial_trace():
 def test_hypergradient_error_shrinks_with_loop_depth():
     prob = make_quadratic_problem(dim_x=3, dim_y=3, kappa=10.0, seed=3)
     x0 = np.full(3, 0.7)
-    ref = exact_hypergradient(prob, x0)
+    ref = reference_solution(prob, x0).grad_phi
     run_base = dict(seed=0, horizon=1, stride=1)
     errs = []
     for n in (1, 10, 200):

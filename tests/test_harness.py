@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import InsufficientDataError, InvalidParameterError
-from ssaid.harness import (RateFit, SweepSpec, compare_algorithms,
-                           kappa_sweep, main, parse_algorithm, rate_fit,
-                           sweep_csv, sweep_summary_json)
-from ssaid.problems import (PlainQuadraticUpper, QuadraticBilevelProblem,
+from ssaid.harness import (RateFit, SweepSpec, _run_to_epsilon,
+                           compare_algorithms, kappa_sweep, main,
+                           parse_algorithm, rate_fit, sweep_csv,
+                           sweep_summary_json)
+from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
+                            QuadraticBilevelProblem, make_quadratic_problem,
                             problem_to_json)
-from ssaid.ssaid import IterationTrace
+from ssaid.ssaid import IterationTrace, RunConfig, run_ssaid
 from ssaid.verification import LEMMA_IDS
 
 
@@ -180,6 +183,31 @@ def test_unreachable_epsilon_censors_and_unresolves():
         assert line.split(",")[3] == ""
         assert line.endswith(",1")
     assert result.exponents["ssaid"] is None
+
+
+def test_cell_complexity_matches_brute_force_on_trace():
+    # under 2048 iterations every iteration is a check row, so a cell
+    # crosses at the first trace row whose running average of grad_phi_sq
+    # reaches epsilon, and costs the larger oracle counter there
+    problem = make_quadratic_problem(6, 6, 5.0, seed=3,
+                                     noise=NoiseModel(sigma=1.0))
+    horizon = 400
+    run = RunConfig(seed=4, horizon=horizon, stride=1)
+    for kind, preset, trace in (
+            ("ssaid", None, run_ssaid(problem, run)),
+            ("multiloop", (2, 3),
+             run_multiloop(problem, MultiLoopConfig(2, 3), run))):
+        eps = float(np.min(trace.running_average()[100:300]))
+        total, first = 0.0, None
+        for k, g in enumerate(trace.grad_phi_sq):
+            total += float(g)
+            if total / (k + 1) <= eps:
+                first = k
+                break
+        assert first is not None and first > 0
+        want = max(int(trace.gc_count[first]), int(trace.mv_count[first]))
+        assert _run_to_epsilon(problem, kind, preset, 4, eps, horizon) == \
+            (want, False)
 
 
 def test_compare_requires_two_algorithms():

@@ -1,4 +1,5 @@
-"""Constants, step sizes, and hypergradient estimators against oracles."""
+"""Constants, step sizes, the exact hypergradient and the kernel's
+stochastic estimate of it, against oracles."""
 
 import math
 
@@ -9,12 +10,11 @@ from ssaid.errors import InvalidParameterError
 from ssaid.hypergradient import (
     DerivedConstants,
     StepSizes,
+    beta_stability_cap,
+    check_lower_rates,
     compute_derived_constants,
     compute_l_phi,
     default_step_sizes,
-    exact_hypergradient,
-    stochastic_hypergradient,
-    validate_step_sizes,
 )
 from ssaid.problems import (
     NoiseModel,
@@ -25,6 +25,7 @@ from ssaid.problems import (
     make_quadratic_problem,
     reference_solution,
 )
+from ssaid.ssaid import iterate
 from ssaid.streams import StreamFactory
 
 
@@ -101,13 +102,20 @@ def unit_setup():
     return c, compute_derived_constants(c, 0.0)
 
 
+def assert_feasible(steps, c, d):
+    """alpha, eta <= 1/L and beta within every stability cap."""
+    check_lower_rates(steps, c)
+    assert steps.beta <= (beta_stability_cap(d, c, steps.alpha, steps.eta)
+                          * (1.0 + 1e-12))
+
+
 def test_default_steps_pick_tightest_stability_cap():
     c, d = unit_setup()
     steps = default_step_sizes(d, c, horizon_k=1)
     assert steps.alpha == steps.eta == 1.0
     # caps: 1/12, 1/4, 1/32, 1/96 and the horizon term 1/4; the last wins
     assert steps.beta == pytest.approx(1.0 / 96.0)
-    validate_step_sizes(steps, c, d)
+    assert_feasible(steps, c, d)
 
 
 def test_default_steps_follow_horizon_decay():
@@ -139,12 +147,13 @@ def test_step_size_invariants_enforced():
     # beta = 0 is a legal frozen-x configuration
     StepSizes(alpha=0.5, eta=1.0, beta=0.0, horizon_k=1)
     c, d = unit_setup()
+    assert beta_stability_cap(d, c, 1.0, 1.0) < 0.5
     with pytest.raises(InvalidParameterError):
-        validate_step_sizes(StepSizes(alpha=1.0, eta=1.0, beta=0.5, horizon_k=1), c, d)
+        check_lower_rates(StepSizes(alpha=1.0, eta=1.0, beta=1e-3, horizon_k=1),
+                          consts(1, 4, m=1))
     with pytest.raises(InvalidParameterError):
-        validate_step_sizes(StepSizes(alpha=1.0, eta=1.0, beta=1e-3, horizon_k=1),
-                            consts(1, 4, m=1),
-                            compute_derived_constants(consts(1, 4, m=1)))
+        check_lower_rates(StepSizes(alpha=0.1, eta=1.0, beta=1e-3, horizon_k=1),
+                          consts(1, 4, m=1))
 
 
 def test_default_steps_always_feasible():
@@ -156,7 +165,7 @@ def test_default_steps_always_feasible():
                    tau=rng.uniform(0, 2))
         d = compute_derived_constants(c, v0_norm=rng.uniform(0, 2))
         steps = default_step_sizes(d, c, horizon_k=int(rng.integers(1, 10 ** 6)))
-        validate_step_sizes(steps, c, d)
+        assert_feasible(steps, c, d)
 
 
 def test_c_beta_formula():
@@ -207,12 +216,12 @@ def one_dim_problem():
 def test_exact_hypergradient_one_dim_closed_form():
     prob = one_dim_problem()
     # y*(x) = x, v* = x, so grad phi = cos(x) + x
-    np.testing.assert_allclose(exact_hypergradient(prob, np.array([0.0])), [1.0],
+    np.testing.assert_allclose(reference_solution(prob, np.array([0.0])).grad_phi, [1.0],
                                atol=1e-14)
-    np.testing.assert_allclose(exact_hypergradient(prob, np.array([math.pi / 2])),
+    np.testing.assert_allclose(reference_solution(prob, np.array([math.pi / 2])).grad_phi,
                                [math.pi / 2], atol=1e-12)
     for x0 in [-2.0, 0.3, 5.0]:
-        np.testing.assert_allclose(exact_hypergradient(prob, np.array([x0])),
+        np.testing.assert_allclose(reference_solution(prob, np.array([x0])).grad_phi,
                                    [math.cos(x0) + x0], atol=1e-12)
 
 
@@ -224,7 +233,7 @@ def test_exact_hypergradient_matches_finite_differences():
     def phi(xx):
         return prob.upper.value(xx, lower_solution(prob, xx))
 
-    g = exact_hypergradient(prob, x)
+    g = reference_solution(prob, x).grad_phi
     h = 1e-6
     fd = np.empty_like(x)
     for i in range(5):
@@ -241,23 +250,28 @@ def test_implicit_gradient_is_l_phi_smooth():
     for _ in range(1000):
         x1 = rng.standard_normal(4) * rng.uniform(0.1, 3.0)
         x2 = x1 + rng.standard_normal(4) * rng.uniform(1e-3, 1.0)
-        g1 = exact_hypergradient(prob, x1)
-        g2 = exact_hypergradient(prob, x2)
+        g1 = reference_solution(prob, x1).grad_phi
+        g2 = reference_solution(prob, x2).grad_phi
         assert np.linalg.norm(g1 - g2) <= l_phi * np.linalg.norm(x1 - x2) + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# stochastic hypergradient
+# stochastic hypergradient: the kernel's estimate with no lower or solver
+# step, grad_x F(x, y; xi) - (d^2 G / dx dy; zeta) v at the inputs
+
+
+def estimate(prob, x, y, v, factory, reps=None):
+    return iterate(prob, factory, 0, x, y, v, 0.0, 0.0, (), (), 0, reps)[3]
 
 
 def test_stochastic_estimator_exact_under_zero_noise():
     prob = make_quadratic_problem(dim_x=3, dim_y=4, kappa=5.0, seed=4)
     x = np.random.default_rng(5).standard_normal(3)
     ref = reference_solution(prob, x)
-    got = stochastic_hypergradient(prob, x, ref.y_star, ref.v_star, StreamFactory(0))
+    got = estimate(prob, x, ref.y_star, ref.v_star, StreamFactory(0))
     np.testing.assert_array_equal(got, ref.grad_phi)
     # zero adjoint drops the correction term entirely
-    got0 = stochastic_hypergradient(prob, x, ref.y_star, np.zeros(4), StreamFactory(0))
+    got0 = estimate(prob, x, ref.y_star, np.zeros(4), StreamFactory(0))
     np.testing.assert_array_equal(got0, prob.upper.grad_x(x, ref.y_star))
 
 
@@ -266,7 +280,7 @@ def test_stochastic_estimator_unbiased_quadratic():
                                   noise=NoiseModel(sigma=1.0, radius=0.4))
     rng = np.random.default_rng(7)
     x, y, v = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4)
-    draws = stochastic_hypergradient(prob, x, y, v, StreamFactory(8), reps=100_000)
+    draws = estimate(prob, x, y, v, StreamFactory(8), reps=100_000)
     expect = prob.upper.grad_x(x, y) - prob.lower_cross_vec(x, y, v)
     se = draws.std(axis=0) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - expect) <= 3 * se + 1e-12)
@@ -277,14 +291,7 @@ def test_stochastic_estimator_unbiased_logistic():
                                  noise=NoiseModel(radius=0.2))
     rng = np.random.default_rng(10)
     x, y, v = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4)
-    draws = stochastic_hypergradient(prob, x, y, v, StreamFactory(11), reps=100_000)
+    draws = estimate(prob, x, y, v, StreamFactory(11), reps=100_000)
     expect = prob.upper.grad_x(x, y) - prob.lower_cross_vec(x, y, v)
     se = draws.std(axis=0) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - expect) <= 3 * se + 1e-12)
-
-
-def test_stochastic_estimator_rejects_nonfinite():
-    prob = make_quadratic_problem(dim_x=3, dim_y=4, kappa=5.0, seed=4)
-    with pytest.raises(InvalidParameterError):
-        stochastic_hypergradient(prob, np.array([np.nan, 0, 0]), np.zeros(4),
-                                 np.zeros(4), StreamFactory(0))

@@ -17,7 +17,6 @@ from ssaid.problems import (
     QuadraticBilevelProblem,
     _SOLVE_BLOCK,
     _sigmoid,
-    adjoint_solution,
     lower_solution,
     make_logistic_problem,
     make_quadratic_problem,
@@ -211,7 +210,7 @@ def test_adjoint_solution_solves_linear_system():
     for prob in [tiny_quadratic(), tiny_logistic()]:
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal(3), rng.standard_normal(4)
-        v = adjoint_solution(prob, x, y)
+        v = prob.adjoint_solution(x, y)
         np.testing.assert_allclose(prob.lower_hess_vec(x, y, v),
                                    prob.upper.grad_y(x, y), atol=1e-9)
 
@@ -252,7 +251,8 @@ def test_batched_hess_solve_matches_loop(family):
         rhs = rng.standard_normal((rows, 4))
         # one row per system, a shared y, and a shared right-hand side
         for y, b in ((ys, rhs), (ys[0], rhs), (ys, rhs[0])):
-            batched = np.broadcast_to(prob.solve_lower_hess(x, y, b), (rows, 4))
+            batched = prob.solve_lower_hess(x, y, b)
+            assert batched.shape == (rows, 4)
             y2 = np.broadcast_to(y, (rows, 4))
             b2 = np.broadcast_to(b, (rows, 4))
             for i in range(rows):

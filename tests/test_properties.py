@@ -9,7 +9,10 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ssaid.problems import _SOLVE_BLOCK, make_logistic_problem  # noqa: E402
+from ssaid.baselines import MultiLoopConfig, run_multiloop  # noqa: E402
+from ssaid.problems import (_SOLVE_BLOCK, NoiseModel,  # noqa: E402
+                            make_logistic_problem, make_quadratic_problem)
+from ssaid.ssaid import RunConfig, run_ssaid  # noqa: E402
 
 _VALUES = st.floats(-50.0, 50.0, allow_nan=False)
 # few rows, and row counts on each side of one and two solve blocks
@@ -45,3 +48,50 @@ def test_stacked_logistic_solve_equals_per_row_solves(data, problem_seed, dims,
     b2 = np.broadcast_to(b, (rows, dim_y))
     for i in range(rows):
         assert np.array_equal(stacked[i], prob.solve_lower_hess(x, y2[i], b2[i]))
+
+
+_SCALES = st.sampled_from([0.0, 0.3, 1.0])
+
+
+@st.composite
+def _problems(draw):
+    """A small instance of either family with drawn noise channels."""
+    dim_x, dim_y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.sampled_from(["quadratic", "logistic"])) == "quadratic":
+        noise = NoiseModel(sigma=draw(_SCALES), radius=draw(_SCALES),
+                           hess_scale=draw(_SCALES))
+        # a 1-D lower level has mu = L = 1
+        kappa = 1.0 if dim_y == 1 else draw(st.floats(1.0, 100.0))
+        return make_quadratic_problem(dim_x, dim_y, kappa, noise=noise,
+                                      seed=seed)
+    n_rows = draw(st.integers(1, 8))
+    return make_logistic_problem(dim_x, dim_y, n_rows, seed=seed,
+                                 batch_size=draw(st.integers(1, n_rows)),
+                                 noise=NoiseModel(radius=draw(_SCALES)))
+
+
+_RUNS = st.builds(RunConfig, seed=st.integers(0, 2**32 - 1),
+                  horizon=st.integers(0, 12), stride=st.integers(1, 4))
+
+
+@given(problem=_problems(), run=_RUNS)
+def test_multiloop_at_one_inner_step_equals_ssaid(problem, run):
+    multi = run_multiloop(problem, MultiLoopConfig(1, 1), run)
+    single = run_ssaid(problem, run)
+    assert multi.csv_text() == single.csv_text()
+    for attr in ("x", "y_hat", "v_hat"):
+        assert np.array_equal(getattr(multi.final_state, attr),
+                              getattr(single.final_state, attr))
+
+
+@given(problem=_problems(), run=_RUNS, inner=st.integers(1, 4),
+       solver=st.integers(1, 4))
+def test_multiloop_oracle_counters(problem, run, inner, solver):
+    trace = run_multiloop(problem, MultiLoopConfig(inner, solver), run)
+    if run.horizon == 0:
+        assert (trace.gc_count.tolist(), trace.mv_count.tolist()) == ([0], [0])
+        return
+    steps = trace.k + 1
+    assert np.array_equal(trace.gc_count, (inner + 2) * steps)
+    assert np.array_equal(trace.mv_count, (solver + 1) * steps)

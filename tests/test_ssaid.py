@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssaid.errors import DivergenceError, InvalidParameterError
-from ssaid.hypergradient import StepSizes, exact_hypergradient
+from ssaid.hypergradient import StepSizes
 from ssaid.problems import (
     NoiseModel,
     PlainQuadraticUpper,
@@ -19,7 +19,6 @@ from ssaid.ssaid import (
     RunConfig,
     SSAIDState,
     _finite,
-    oracle_complexity,
     run_ssaid,
     ssaid_step,
 )
@@ -252,41 +251,3 @@ def test_finite_check_equals_summed_reductions():
                     want = math.isfinite(float(x.sum()) + float(y.sum())
                                          + float(v.sum()))
                     assert _finite(x, y, v) == want, (x, y, v)
-
-
-# ---------------------------------------------------------------------------
-# oracle complexity
-
-
-def synthetic_trace(grads):
-    rows = [(k, g, 0.0, 0.0, 0.0, 0.0, 0.0, 3 * (k + 1), 2 * (k + 1))
-            for k, g in enumerate(grads)]
-    return IterationTrace.from_rows(rows)
-
-
-def test_complexity_when_first_row_already_qualifies():
-    trace = synthetic_trace([0.0, 1.0, 1.0])
-    assert oracle_complexity(trace, epsilon=1e-9) == 3
-    big = synthetic_trace([5.0, 7.0])
-    assert oracle_complexity(big, epsilon=100.0) == 3
-
-
-def test_complexity_matches_brute_force_on_harmonic_decay():
-    grads = [1.0 / (k + 1) for k in range(1000)]
-    trace = synthetic_trace(grads)
-    eps = 0.02
-    total, first = 0.0, None
-    for k, g in enumerate(grads):
-        total += g
-        if total / (k + 1) <= eps:
-            first = k
-            break
-    assert first is not None
-    assert oracle_complexity(trace, eps) == 3 * (first + 1)
-
-
-def test_complexity_none_when_never_stationary():
-    trace = synthetic_trace([1.0] * 10)
-    assert oracle_complexity(trace, 0.5) is None
-    with pytest.raises(InvalidParameterError):
-        oracle_complexity(trace, 0.0)
