@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .hypergradient import check_lower_rates
-from .ssaid import (IterationTrace, RunConfig, SSAIDState, _finite,
-                    _record_trace, initial_vectors, iterate,
-                    resolve_step_sizes)
+from .ssaid import (IterationTrace, RunConfig, SSAIDState, _advance,
+                    _record_trace, _setup)
 from .streams import StreamFactory
 
 __all__ = [
@@ -61,28 +60,15 @@ def multiloop_step(state: SSAIDState, problem, config: MultiLoopConfig,
     side from the single shared upper sample at slot 0.  The slot-0 draws
     coincide with the single-loop method's addresses by construction.
     """
-    k = state.k
-    x = state.x
-    alpha, eta, beta = state.steps._arrays
-    y, v, _, est = iterate(
-        problem, factory, k, x, state.y_hat, state.v_hat, alpha, eta,
-        range(config.inner_iters), range(config.solver_iters), 0, None)
-    x_new = x - beta * est
-    if not _finite(x_new, y, v):
-        raise DivergenceError(
-            f"nonfinite iterate at outer iteration {k}", iteration=k,
-            state=state)
-    return SSAIDState(x=x_new, y_hat=y, v_hat=v, k=k + 1, steps=state.steps)
+    return _advance(state, problem, factory, range(config.inner_iters),
+                    range(config.solver_iters))[0]
 
 
 def _multiloop_start(problem, config: MultiLoopConfig, run: RunConfig):
     """(step, initial state, per-step oracle bill) of a baseline run; the
     lower and adjoint rates must be at most 1/L."""
-    x0, y0, v0 = initial_vectors(problem, run)
-    steps = resolve_step_sizes(problem, run, v0)
-    check_lower_rates(steps, problem.constants)
-    factory = StreamFactory(run.seed)
-    state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0, steps=steps)
+    state, factory = _setup(problem, run)
+    check_lower_rates(state.steps, problem.constants)
     return ((lambda st: multiloop_step(st, problem, config, factory)), state,
             (config.inner_iters + 2, config.solver_iters + 1))
 

@@ -36,12 +36,12 @@ class DivergenceError(RuntimeError):
     """An optimization run produced a nonfinite iterate.
 
     ``iteration`` is the index of the step that produced it and ``state``
-    the last finite state before that step: an ``SSAIDState`` from the
-    single-loop and the multi-loop runner, None from the verifier's history
-    replay.  The runners attach ``trace``, the rows recorded before the
-    abort.  There is no gradient ceiling: a run that grows without
-    overflowing goes on until its horizon.  Sweep cells report a diverged
-    run as censored.
+    the last finite ``SSAIDState`` before that step (``state.k ==
+    iteration``), from the single-loop and the multi-loop runner and from
+    the verifier's history replay alike.  The runners attach ``trace``, the
+    rows recorded before the abort.  There is no gradient ceiling: a run
+    that grows without overflowing goes on until its horizon.  Sweep cells
+    report a diverged run as censored.
     """
 
     def __init__(self, message: str, iteration: int, state=None, trace=None):

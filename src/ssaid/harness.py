@@ -356,12 +356,17 @@ def sweep_summary_json(result: SweepResult, spec: SweepSpec) -> str:
 # CLI
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
+def _command(subs, name, summary, extra):
+    """Parser of one command with --out-dir, --config and the integer flags
+    in ``extra`` (--seed for the single-run commands, --threads for the
+    sweeps).  No prefix matching: `sweep --seed` must not pass as --seeds."""
+    sub = subs.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in extra:
+        sub.add_argument(flag, type=int, default=None)
     sub.add_argument("--out-dir", default=None)
     sub.add_argument("--config", default=None,
                      help="flat JSON file of flag values; explicit flags win")
-    sub.add_argument("--threads", type=int, default=None)
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="single-loop stochastic bilevel optimization toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="emit a problem JSON")
+    gen = _command(subs, "gen", "emit a problem JSON", ("--seed",))
     gen.add_argument("--family", choices=("quadratic", "logistic"),
                      default=None)
     gen.add_argument("--dim", type=int, default=None,
@@ -385,18 +390,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="logistic family: dataset rows")
     gen.add_argument("--reg", type=float, default=None)
     gen.add_argument("--batch-size", type=int, default=None)
-    _add_common(gen)
 
-    run = subs.add_parser("run", help="run the single-loop method")
+    run = _command(subs, "run", "run the single-loop method", ("--seed",))
     run.add_argument("--problem", default=None, required=False)
     run.add_argument("--K", type=int, default=None, dest="horizon")
     run.add_argument("--stride", type=int, default=None)
     run.add_argument("--alpha", type=float, default=None)
     run.add_argument("--eta", type=float, default=None)
     run.add_argument("--beta", type=float, default=None)
-    _add_common(run)
 
-    ver = subs.add_parser("verify", help="Monte-Carlo bound checks")
+    ver = _command(subs, "verify", "Monte-Carlo bound checks", ("--seed",))
     ver.add_argument("--problem", default=None)
     ver.add_argument("--all", action="store_true", default=None)
     ver.add_argument("--lemma", default=None)
@@ -405,10 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--checkpoints", default=None,
                      help="comma-separated iteration indices")
     ver.add_argument("--mc-seed", type=int, default=None)
-    _add_common(ver)
 
     for name in ("sweep", "compare"):
-        sw = subs.add_parser(name, help=f"{name} over a condition-number grid")
+        sw = _command(subs, name, f"{name} over a condition-number grid",
+                      ("--threads",))
         sw.add_argument("--kappa-grid", default=None)
         sw.add_argument("--seeds", default=None)
         sw.add_argument("--epsilon", type=float, default=None)
@@ -417,13 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sw.add_argument("--dim", type=int, default=None)
         sw.add_argument("--sigma", type=float, default=None)
         sw.add_argument("--problem-seed", type=int, default=None)
-        _add_common(sw)
 
-    fit = subs.add_parser("fit", help="rate fit on a recorded trace CSV")
+    fit = _command(subs, "fit", "rate fit on a recorded trace CSV", ())
     fit.add_argument("--trace", default=None)
     fit.add_argument("--k-min", type=int, default=None)
     fit.add_argument("--k-max", type=int, default=None)
-    _add_common(fit)
     return parser
 
 

@@ -698,21 +698,16 @@ class LogisticBilevelProblem(_BilevelProblemBase):
 
 
 def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
-                           noise: NoiseModel | None = None, seed: int = 0, *,
-                           coupling_norm_frac: float = 1.0,
-                           offset_scale: float = 1.0,
-                           huber_delta: float = 0.5,
-                           target_offset: float = 0.5,
-                           cos_amp: float = 0.01,
-                           cos_freq: float = 1.0) -> QuadraticBilevelProblem:
+                           noise: NoiseModel | None = None,
+                           seed: int = 0) -> QuadraticBilevelProblem:
     """Random quadratic instance with exact condition number ``kappa``.
 
     H = Q diag(lambda) Q' with log-spaced eigenvalues in [1, kappa] (so
-    mu = 1 and L = kappa exactly), B = (coupling_norm_frac * L) times an
-    orthogonal factor, and c Gaussian.
+    mu = 1 and L = kappa exactly), B = L times an orthogonal factor, and c
+    Gaussian.
 
     The pseudo-Huber target is placed at y*(0) minus a bump of size
-    ``target_offset / kappa`` along the top eigenvector of
+    ``0.5 / kappa`` along the top eigenvector of
     H^{-1} B B' H^{-1}.  That direction carries the strongest curvature of
     the implicit objective (it scales like kappa^2), so a run started at
     x = 0 descends a well-conditioned one-dimensional valley whose initial
@@ -741,9 +736,9 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
 
     qb, _ = np.linalg.qr(rng.standard_normal((max(dim_y, dim_x), min(dim_y, dim_x))))
     qb = qb if dim_y >= dim_x else qb.T
-    coupling = coupling_norm_frac * kappa * qb[:dim_y, :dim_x]
+    coupling = kappa * qb[:dim_y, :dim_x]
 
-    offset = offset_scale * rng.standard_normal(dim_y)
+    offset = rng.standard_normal(dim_y)
 
     hess_noise_dir = None
     if noise.hess_scale > 0.0:
@@ -760,9 +755,9 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
     ridge_dir = evecs[:, -1]
 
     y_at_origin = cho_solve(chol, offset)
-    target = y_at_origin - (target_offset / kappa) * ridge_dir
-    upper = PseudoHuberCosineUpper(target=target, cos_amp=cos_amp,
-                                   cos_freq=cos_freq, huber_delta=huber_delta)
+    target = y_at_origin - (0.5 / kappa) * ridge_dir
+    upper = PseudoHuberCosineUpper(target=target, cos_amp=0.01,
+                                   huber_delta=0.5)
     return QuadraticBilevelProblem(hess=hess, coupling=coupling, offset=offset,
                                    upper=upper, noise=noise, seed=int(seed),
                                    hess_noise_dir=hess_noise_dir)
@@ -770,21 +765,18 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
 
 def make_logistic_problem(dim_x: int, dim_y: int, n_rows: int, seed: int = 0, *,
                           reg: float = 1.0, batch_size: int = 4,
-                          row_scale: float = 1.0,
-                          noise: NoiseModel | None = None,
-                          huber_delta: float = 0.5,
-                          cos_amp: float = 0.01,
-                          cos_freq: float = 1.0) -> LogisticBilevelProblem:
+                          noise: NoiseModel | None = None
+                          ) -> LogisticBilevelProblem:
     """Random ridge-logistic instance; rho > 0 by construction."""
     if min(dim_x, dim_y, n_rows) < 1:
         raise InvalidParameterError("dimensions and n_rows must be >= 1")
     noise = noise or NoiseModel()
     rng = np.random.default_rng(seed)
-    features = row_scale * rng.standard_normal((n_rows, dim_y)) / math.sqrt(dim_y)
-    cross_rows = row_scale * rng.standard_normal((n_rows, dim_x)) / math.sqrt(dim_x)
+    features = rng.standard_normal((n_rows, dim_y)) / math.sqrt(dim_y)
+    cross_rows = rng.standard_normal((n_rows, dim_x)) / math.sqrt(dim_x)
     target = rng.standard_normal(dim_y) * 0.5
-    upper = PseudoHuberCosineUpper(target=target, cos_amp=cos_amp,
-                                   cos_freq=cos_freq, huber_delta=huber_delta)
+    upper = PseudoHuberCosineUpper(target=target, cos_amp=0.01,
+                                   huber_delta=0.5)
     return LogisticBilevelProblem(features=features, cross_rows=cross_rows,
                                   reg=reg, batch_size=batch_size, upper=upper,
                                   noise=noise, seed=int(seed))

@@ -142,18 +142,28 @@ def _finite(x, y, v) -> bool:
     return math.isfinite(float(add(x)) + float(add(y)) + float(add(v)))
 
 
-def ssaid_step(state: SSAIDState, problem, factory: StreamFactory) -> SSAIDState:
-    """One full iteration; draws live at (seed, k, tag, 0)."""
+def _advance(state: SSAIDState, problem, factory: StreamFactory, inner,
+             solver):
+    """One iteration from ``state`` with the lower steps ``inner`` and the
+    adjoint steps ``solver`` (see ``iterate``), draws at slot 0, then the
+    upper step.  Returns (new state, realized upper gradient in y); a
+    nonfinite iterate raises DivergenceError carrying ``state``."""
     k = state.k
     x = state.x
     alpha, eta, beta = state.steps._arrays
-    y, v, _, est = iterate(problem, factory, k, x, state.y_hat, state.v_hat,
-                           alpha, eta, _ONCE, _ONCE, 0, None)
+    y, v, gy, est = iterate(problem, factory, k, x, state.y_hat, state.v_hat,
+                            alpha, eta, inner, solver, 0, None)
     x_new = x - beta * est
     if not _finite(x_new, y, v):
         raise DivergenceError(
             f"nonfinite iterate at iteration {k}", iteration=k, state=state)
-    return SSAIDState(x=x_new, y_hat=y, v_hat=v, k=k + 1, steps=state.steps)
+    return SSAIDState(x=x_new, y_hat=y, v_hat=v, k=k + 1,
+                      steps=state.steps), gy
+
+
+def ssaid_step(state: SSAIDState, problem, factory: StreamFactory) -> SSAIDState:
+    """One full iteration; draws live at (seed, k, tag, 0)."""
+    return _advance(state, problem, factory, _ONCE, _ONCE)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +320,17 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
     return IterationTrace.from_rows(rows, final_state=state, steps=steps)
 
 
+def _setup(problem, config: RunConfig):
+    """(initial state, stream factory) of a run from ``config``."""
+    x0, y0, v0 = initial_vectors(problem, config)
+    state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0,
+                       steps=resolve_step_sizes(problem, config, v0))
+    return state, StreamFactory(config.seed)
+
+
 def _ssaid_start(problem, config: RunConfig):
     """(step, initial state, per-step oracle bill) of a single-loop run."""
-    x0, y0, v0 = initial_vectors(problem, config)
-    steps = resolve_step_sizes(problem, config, v0)
-    factory = StreamFactory(config.seed)
-    state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0, steps=steps)
+    state, factory = _setup(problem, config)
     return ((lambda st: ssaid_step(st, problem, factory)), state,
             (GC_PER_STEP, MV_PER_STEP))
 

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .hypergradient import (DerivedConstants, StepSizes, check_lower_rates,
                             compute_derived_constants)
 from .problems import ProblemConstants, reference_solution
-from .ssaid import (_ONCE, IterationTrace, RunConfig, _finite,
-                    initial_vectors, iterate, resolve_step_sizes, run_ssaid)
+from .ssaid import (_ONCE, IterationTrace, RunConfig, _advance, _setup,
+                    initial_vectors, iterate, run_ssaid)
 from .streams import BRANCH_SLOT, StreamFactory
 
 __all__ = [
@@ -219,34 +219,24 @@ def check_v_bound(trace: IterationTrace, constants: ProblemConstants,
 
 @dataclass
 class _History:
-    xs: list          # x before iteration t, t = 0..T (length T+1)
-    ys: list          # lower iterate after iteration t (length T)
-    vs: list          # adjoint iterate after iteration t (length T)
+    xs: list          # x entering iteration t, t = 0..T (length T+1)
+    ys: list          # lower iterate entering iteration t (length T+1)
+    vs: list          # adjoint iterate entering iteration t (length T+1)
     gys: list         # realized upper-gradient-in-y sample at iteration t
-    y0: np.ndarray
-    v0: np.ndarray
 
 
 def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
-    """Replay the run loop, capturing the per-iteration upper-gradient sample
-    alongside the iterates.  Stream addresses match the runner exactly."""
-    x, y, v = initial_vectors(problem, config)
-    steps = resolve_step_sizes(problem, config, v)
-    factory = StreamFactory(config.seed)
-    hist = _History(xs=[x.copy()], ys=[], vs=[], gys=[], y0=y.copy(),
-                    v0=v.copy())
-    for k in range(horizon):
-        y, v, gy, est = iterate(problem, factory, k, x, y, v, steps.alpha,
-                                steps.eta, _ONCE, _ONCE, 0, None)
-        x = x - steps.beta * est
-        if not _finite(x, y, v):
-            raise DivergenceError(
-                f"nonfinite iterate at iteration {k} while building the "
-                "shared history", iteration=k)
-        hist.xs.append(x.copy())
-        hist.ys.append(y.copy())
-        hist.vs.append(v.copy())
-        hist.gys.append(np.array(gy, dtype=float))
+    """Replay the run's steps, capturing the per-iteration upper-gradient
+    sample alongside the iterates.  Stream addresses match the runner
+    exactly."""
+    state, factory = _setup(problem, config)
+    hist = _History(xs=[state.x], ys=[state.y_hat], vs=[state.v_hat], gys=[])
+    for _ in range(horizon):
+        state, gy = _advance(state, problem, factory, _ONCE, _ONCE)
+        hist.xs.append(state.x)
+        hist.ys.append(state.y_hat)
+        hist.vs.append(state.v_hat)
+        hist.gys.append(gy)
     return hist
 
 
@@ -264,9 +254,7 @@ def _branch_iteration(problem, steps: StepSizes, hist: _History, k: int,
     sets, all addressed at the reserved branch slot of mc.base_seed."""
     x_k = hist.xs[k]
     ys, vs, gy, est = iterate(
-        problem, StreamFactory(mc.base_seed), k, x_k,
-        hist.ys[k - 1] if k > 0 else hist.y0,
-        hist.vs[k - 1] if k > 0 else hist.v0,
+        problem, StreamFactory(mc.base_seed), k, x_k, hist.ys[k], hist.vs[k],
         steps.alpha, steps.eta, _ONCE, _ONCE, BRANCH_SLOT, mc.replications)
     target = problem.solve_lower_hess(x_k, ys, gy)
     return _Branch(y=ys, v=vs, est=est, target=target)
@@ -279,13 +267,14 @@ def _require(cond: bool, msg: str):
 
 def _resolve_inputs(problem, config: RunConfig, mc: MCConfig,
                     need_beta_cap: bool = False):
-    x0, y0, v0 = initial_vectors(problem, config)
-    steps = resolve_step_sizes(problem, config, v0)
+    state, _ = _setup(problem, config)
+    steps = state.steps
     c = problem.constants
     check_lower_rates(steps, c)
     _require(mc.checkpoints[-1] <= config.horizon,
              "checkpoints must not exceed the run horizon")
-    derived = compute_derived_constants(c, v0_norm=float(np.linalg.norm(v0)))
+    derived = compute_derived_constants(
+        c, v0_norm=float(np.linalg.norm(state.v_hat)))
     if need_beta_cap:
         cap = c.mu * steps.alpha / (4.0 * derived.c1)
         _require(steps.beta <= cap * (1.0 + 1e-12),
@@ -326,12 +315,9 @@ def check_lower_tracking(problem, config: RunConfig,
         q = np.sum((branch.y - ref(k).y_star) ** 2, axis=1)
         lhs = math.sqrt(float(q.mean()))
         se = jackknife_se(np.sqrt(loo_mean(q)))
-        if k > 0:
-            prev_err = float(np.linalg.norm(hist.ys[k - 1] - ref(k - 1).y_star))
-            x_step = float(np.linalg.norm(hist.xs[k] - hist.xs[k - 1]))
-        else:
-            prev_err = float(np.linalg.norm(hist.y0 - ref(0).y_star))
-            x_step = 0.0
+        prev = max(k - 1, 0)  # at k = 0: the start, and no x step
+        prev_err = float(np.linalg.norm(hist.ys[k] - ref(prev).y_star))
+        x_step = float(np.linalg.norm(hist.xs[k] - hist.xs[prev]))
         rhs = ((1.0 - c.mu * steps.alpha / 2.0) * prev_err
                + (c.lipschitz_L / c.mu) * x_step + steps.alpha * c.sigma)
         rows.append(_mc_row(k, lhs, se, rhs))
@@ -379,8 +365,8 @@ def check_bias_recursions(problem, config: RunConfig, mc: MCConfig) -> list:
             continue
 
         x_step = float(np.linalg.norm(hist.xs[k] - hist.xs[k - 1]))
-        y_prev = hist.ys[k - 1]
-        v_prev = hist.vs[k - 1]
+        y_prev = hist.ys[k]
+        v_prev = hist.vs[k]
         # conditioning on everything through iteration k-1 makes both
         # previous-iterate expectations collapse to realized values, so the
         # anchor is the realized sampled adjoint solve
@@ -448,10 +434,10 @@ def _composite(problem, derived, branch, ref_k) -> tuple:
 
 def _initial_composite(problem, derived, hist: _History, ref) -> float:
     """Composite tracking quantity of the first realized iteration."""
-    t0 = problem.solve_lower_hess(hist.xs[0], hist.ys[0], hist.gys[0])
-    return (derived.c2 * float(np.linalg.norm(hist.ys[0] - ref(0).y_star))
+    t0 = problem.solve_lower_hess(hist.xs[0], hist.ys[1], hist.gys[0])
+    return (derived.c2 * float(np.linalg.norm(hist.ys[1] - ref(0).y_star))
             + problem.constants.lipschitz_L
-            * float(np.linalg.norm(hist.vs[0] - t0)))
+            * float(np.linalg.norm(hist.vs[1] - t0)))
 
 
 def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:

@@ -10,7 +10,6 @@ where a guarantee carries one.  Run with ``pytest -v`` for one line per
 guarantee.
 """
 
-import json
 import os
 import subprocess
 import sys

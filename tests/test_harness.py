@@ -4,7 +4,6 @@ files)."""
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +296,17 @@ def test_cli_invalid_usage_exits_one(tmp_path):
     assert run_cli("nosuchcommand") == 1
     assert run_cli("verify", "--problem", "missing.json") == 1
     assert run_cli("fit", "--k-min", "1", "--k-max", "10") == 1
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen", "--threads"), ("run", "--threads"), ("verify", "--threads"),
+    ("fit", "--threads"), ("sweep", "--seed"), ("compare", "--seed"),
+    ("fit", "--seed"),
+])
+def test_cli_flag_the_command_ignores_exits_one(command, flag, capsys):
+    # gen, run and verify take --seed; sweep and compare take --threads
+    assert run_cli(command, flag, "2") == 1
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_cli_partial_step_overrides_rejected(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 from ssaid.errors import InvalidParameterError, InvalidProblemError
 from ssaid.problems import (
-    LogisticBilevelProblem,
     NoiseModel,
     PlainQuadraticUpper,
     ProblemConstants,

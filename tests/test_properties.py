@@ -12,7 +12,11 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from ssaid.baselines import MultiLoopConfig, run_multiloop  # noqa: E402
 from ssaid.problems import (_SOLVE_BLOCK, NoiseModel,  # noqa: E402
                             make_logistic_problem, make_quadratic_problem)
-from ssaid.ssaid import RunConfig, run_ssaid  # noqa: E402
+from ssaid.ssaid import RunConfig, resolve_step_sizes, run_ssaid  # noqa: E402
+from ssaid.streams import (BRANCH_SLOT, TAG_CROSS_OP,  # noqa: E402
+                           TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD,
+                           StreamFactory, stream)
+from ssaid.verification import _simulate_history  # noqa: E402
 
 _VALUES = st.floats(-50.0, 50.0, allow_nan=False)
 # few rows, and row counts on each side of one and two solve blocks
@@ -95,3 +99,54 @@ def test_multiloop_oracle_counters(problem, run, inner, solver):
     steps = trace.k + 1
     assert np.array_equal(trace.gc_count, (inner + 2) * steps)
     assert np.array_equal(trace.mv_count, (solver + 1) * steps)
+
+
+@given(data=st.data(), problem=_problems(), seed=st.integers(0, 2**32 - 1),
+       horizon=st.integers(0, 12))
+def test_history_replay_equals_runner_iterates(data, problem, seed, horizon):
+    # entry t of the replay is the iterate entering iteration t, which is
+    # the final state of a run of horizon t under the same step sizes
+    start = {name: data.draw(arrays(np.float64, dim,
+                                    elements=st.floats(-2.0, 2.0)), label=name)
+             for name, dim in (("x0", problem.dim_x), ("y0", problem.dim_y),
+                               ("v0", problem.dim_y))}
+    config = RunConfig(seed=seed, horizon=horizon, **start)
+    hist = _simulate_history(problem, config, horizon)
+    steps = resolve_step_sizes(problem, config, start["v0"])
+    assert [len(hist.xs), len(hist.ys), len(hist.vs), len(hist.gys)] == \
+        [horizon + 1] * 3 + [horizon]
+    for t in range(horizon + 1):
+        final = run_ssaid(problem, RunConfig(seed=seed, horizon=t, steps=steps,
+                                             stride=t + 1, **start)).final_state
+        assert np.array_equal(hist.xs[t], final.x)
+        assert np.array_equal(hist.ys[t], final.y_hat)
+        assert np.array_equal(hist.vs[t], final.v_hat)
+
+
+_TAGS = st.sampled_from([TAG_LOWER_GRAD, TAG_UPPER_GRAD, TAG_CROSS_OP,
+                         TAG_HESS_OP])
+# (seed, iteration, tag, slot); few seeds and small indices, so that drawn
+# addresses often share all but one word
+_ADDRESSES = st.lists(
+    st.tuples(st.one_of(st.integers(0, 2), st.integers(0, 2**64 - 1)),
+              st.one_of(st.integers(0, 3), st.integers(0, 2**40)), _TAGS,
+              st.one_of(st.integers(0, 3), st.just(BRANCH_SLOT))),
+    min_size=1, max_size=10, unique=True)
+
+
+@given(data=st.data(), addresses=_ADDRESSES)
+def test_stream_factory_draws_depend_only_on_the_address(data, addresses):
+    def draws(order):
+        factories = {}
+        out = {}
+        for seed, k, tag, slot in order:
+            factory = factories.setdefault(seed, StreamFactory(seed))
+            out[seed, k, tag, slot] = factory.at(k, tag, slot).random(4).tobytes()
+        return out
+
+    first = draws(addresses)
+    # another order, with some addresses revisited after others
+    order = data.draw(st.permutations(addresses), label="order")
+    assert draws(order + order[::2]) == first
+    assert first == {a: stream(*a).random(4).tobytes() for a in addresses}
+    assert len(set(first.values())) == len(addresses)

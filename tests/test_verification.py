@@ -2,15 +2,15 @@
 must hold exactly with zero error bars, seeded noise bands, validation
 rejections, and small full-suite passes."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ssaid.errors import InvalidParameterError
+from ssaid.errors import DivergenceError, InvalidParameterError
 from ssaid.hypergradient import StepSizes, compute_derived_constants
-from ssaid.problems import (NoiseModel, make_logistic_problem,
+from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
+                            QuadraticBilevelProblem, make_logistic_problem,
                             make_quadratic_problem, reference_solution)
 from ssaid.ssaid import IterationTrace, RunConfig, run_ssaid
 from ssaid.verification import (LEMMA_IDS, MCConfig, _simulate_history,
@@ -133,6 +133,26 @@ def test_history_matches_runner_bitwise():
     assert np.array_equal(hist.xs[-1], trace.final_state.x)
     assert np.array_equal(hist.ys[-1], trace.final_state.y_hat)
     assert np.array_equal(hist.vs[-1], trace.final_state.v_hat)
+
+
+def test_history_divergence_carries_last_finite_state():
+    prob = QuadraticBilevelProblem(hess=np.eye(2), coupling=np.eye(2),
+                                   offset=np.zeros(2),
+                                   upper=PlainQuadraticUpper(target=np.zeros(2)))
+    steps = StepSizes(alpha=1.0, eta=1.0, beta=50.0, horizon_k=10_000)
+    cfg = RunConfig(seed=7, horizon=10_000, steps=steps, x0=[1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            _simulate_history(prob, cfg, 10_000)
+        with pytest.raises(DivergenceError) as run_info:
+            run_ssaid(prob, cfg)
+    err = info.value
+    assert err.iteration > 0
+    assert err.state.k == err.iteration == run_info.value.iteration
+    for attr in ("x", "y_hat", "v_hat"):
+        got = getattr(err.state, attr)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, getattr(run_info.value.state, attr))
 
 
 # ---------------------------------------------------------------------------
