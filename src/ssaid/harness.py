@@ -16,7 +16,6 @@ Three layers:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -36,8 +35,9 @@ from .hypergradient import StepSizes, compute_derived_constants
 from .problems import (NoiseModel, make_logistic_problem,
                        make_quadratic_problem, problem_from_json,
                        problem_hash, problem_to_json, reference_solution)
-from .ssaid import (IterationTrace, RunConfig, _ssaid_start, drive,
-                    initial_vectors, run_ssaid)
+from .ssaid import (IterationTrace, RunConfig, _finite_rows, _ssaid_start,
+                    initial_vectors, iterate, run_ssaid)
+from .streams import RowStreams
 from .verification import MCConfig, run_lemma_suite, summary_csv
 
 __all__ = [
@@ -232,38 +232,67 @@ def _sweep_problem(spec: SweepSpec, kappa: float):
                                   seed=spec.problem_seed, noise=noise)
 
 
-def _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters):
-    """One sweep cell: iterate until the running average of the exact
-    stationarity measure (over check rows) drops to epsilon.
+def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
+    """The sweep cells of ``seeds`` on one quadratic problem and algorithm,
+    run in lock-step.  Each seed's run iterates until the running average
+    of the exact stationarity measure (over check rows) drops to epsilon.
 
-    Returns (complexity, censored): the oracle count at the crossing, or
-    (None, True) if the run diverged or never resolved within max_iters.
+    The running seeds are the rows of stacked (S, d) iterates, and one
+    ``iterate`` call advances them all.  Row i draws from seed i's streams
+    (``RowStreams``) and every quadratic product is one gemv per row, so
+    each row has the bits of its one-seed run.  A row leaves the batch when
+    it crosses epsilon at a check row, or when its own iterate turns
+    nonfinite, which ends the one-seed run with a DivergenceError.
+
+    Returns (complexity, censored) per seed: the oracle count at the
+    crossing, or (None, True) if the run diverged or never resolved within
+    max_iters.
     """
-    config = RunConfig(seed=seed, horizon=max_iters)
+    config = RunConfig(seed=seeds[0], horizon=max_iters)
     if kind == "ssaid":
-        step, state, counts = _ssaid_start(problem, config)
+        _, state, counts = _ssaid_start(problem, config)
     else:
-        step, state, counts = _multiloop_start(
+        _, state, counts = _multiloop_start(
             problem, MultiLoopConfig(inner_iters=preset[0],
                                      solver_iters=preset[1]), config)
-    total, n_checks, crossed = 0.0, 0, None
+    # the single loop's step is the baseline's at N = Q = 1
+    inner, solver = (range(n) for n in preset or (1, 1))
+    alpha, eta, beta = state.steps._arrays
+    stride = max(1, max_iters // _SWEEP_CHECKS)
+    streams = RowStreams(seeds)
+    live = list(range(len(seeds)))     # seed index of each row
+    x, y, v = (np.stack([a] * len(seeds))
+               for a in (state.x, state.y_hat, state.v_hat))
+    totals = [0.0] * len(seeds)
+    outcomes = [(None, True)] * len(seeds)
+    n_checks = 0
+    for k in range(max_iters):
+        x_before = x
+        y, v, _, est = iterate(problem, streams, k, x, y, v, alpha, eta,
+                               inner, solver, 0, len(live))
+        x = x - beta * est
+        keep = _finite_rows(x, y, v)   # a diverged run never crossed
+        if k % stride == 0 or k == max_iters - 1:
+            n_checks += 1
+            for i, seed_ix in enumerate(live):
+                if keep[i]:
+                    ref = reference_solution(problem, x_before[i])
+                    totals[seed_ix] += float(ref.grad_phi @ ref.grad_phi)
+                    if totals[seed_ix] / n_checks <= epsilon:
+                        outcomes[seed_ix] = (int(max(counts) * (k + 1)), False)
+                        keep[i] = False
+        if not all(keep):
+            live = [s for s, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            x, y, v = x[keep], y[keep], v[keep]
+            streams.select(keep)
+    return outcomes
 
-    def on_row(k, x_before, _):
-        nonlocal total, n_checks, crossed
-        ref = reference_solution(problem, x_before)
-        total += float(ref.grad_phi @ ref.grad_phi)
-        n_checks += 1
-        if total / n_checks <= epsilon:
-            crossed = k
-        return crossed is not None
 
-    # a diverged run never crossed
-    with contextlib.suppress(DivergenceError):
-        drive(step, state, max_iters, max(1, max_iters // _SWEEP_CHECKS),
-              on_row)
-    if crossed is None:
-        return None, True
-    return int(max(counts) * (crossed + 1)), False
+def _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters):
+    """One sweep cell: the one-seed case of ``_run_group``."""
+    return _run_group(problem, kind, preset, (seed,), epsilon, max_iters)[0]
 
 
 def _summarize(rows, spec: SweepSpec):
@@ -299,30 +328,32 @@ def _summarize(rows, spec: SweepSpec):
 def kappa_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run every (kappa, seed, algorithm) cell and summarize.
 
-    Cells are independent; with threads > 1 they are dispatched to a pool
-    and collected in submission order, so the output is identical for any
-    thread count.
+    The seeds of each (kappa, algorithm) group run in lock-step
+    (``_run_group``).  Groups are independent; with threads > 1 they are
+    dispatched to a pool and collected in submission order, so the output
+    is identical for any thread count.
     """
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     problems = {kappa: _sweep_problem(spec, kappa) for kappa in spec.kappa_grid}
-    cells = [(kappa, seed, alg) for kappa in spec.kappa_grid
-             for seed in spec.seeds for alg in spec.algorithms]
+    groups = [(kappa, alg) for kappa in spec.kappa_grid
+              for alg in spec.algorithms]
 
-    def work(cell):
-        kappa, seed, alg = cell
+    def work(group):
+        kappa, alg = group
         kind, preset = parse_algorithm(alg, kappa)
-        return _run_to_epsilon(problems[kappa], kind, preset, seed,
-                               spec.epsilon, spec.max_iters)
+        return _run_group(problems[kappa], kind, preset, spec.seeds,
+                          spec.epsilon, spec.max_iters)
 
     if threads == 1:
-        outcomes = [work(c) for c in cells]
+        outcomes = [work(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, cells))
-    rows = [SweepRow(kappa=c[0], seed=c[1], algorithm=c[2],
+            outcomes = list(pool.map(work, groups))
+    rows = [SweepRow(kappa=kappa, seed=seed, algorithm=alg,
                      complexity=out[0], censored=out[1])
-            for c, out in zip(cells, outcomes)]
+            for (kappa, alg), outs in zip(groups, outcomes)
+            for seed, out in zip(spec.seeds, outs)]
     rows.sort(key=lambda r: (r.kappa, r.seed, r.algorithm))
     medians, exponents = _summarize(rows, spec)
     return SweepResult(rows=rows, medians=medians, exponents=exponents)
@@ -430,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 class _Options:
     """Flag resolution: explicit CLI value, then config-file value, then the
-    built-in default."""
+    built-in default.  Config keys are the command's flag names with
+    underscores (``max_iters``); any other key is an error."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
@@ -445,6 +477,11 @@ class _Options:
             if not isinstance(loaded, dict):
                 raise InvalidParameterError("config file must hold a flat "
                                             "JSON object")
+            unknown = sorted(set(loaded) - set(self.args) - {"command", "config"})
+            if unknown:
+                raise InvalidParameterError(
+                    f"config file keys {unknown} are not flags of "
+                    f"{self.args['command']!r}")
             self.cfg = loaded
 
     def get(self, key: str, default=None):

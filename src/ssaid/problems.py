@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import (
     ConvergenceFailureError,
@@ -265,6 +266,12 @@ def _upper_from_dict(d: dict):
 # sample plumbing shared by both families
 
 
+def _row_gemv(v, mat):
+    """``v @ mat`` as one (1, d) gemv per row of a stacked ``v``, which has
+    the bits of the 1-D call; a plain (rows, d) gemm rounds differently."""
+    return (v[..., None, :] @ mat)[..., 0, :]
+
+
 def _sphere_noise(gen: np.random.Generator, dim: int, radius: float, reps):
     shape = (dim,) if reps is None else (reps, dim)
     z = gen.standard_normal(shape)
@@ -291,7 +298,8 @@ class _BilevelProblemBase:
         gx = self.upper.grad_x(x, y)
         gy = self.upper.grad_y(x, y)
         if reps is not None:
-            gx = np.broadcast_to(gx, (reps,) + gx.shape[-1:]).copy()
+            if gx.ndim == 1:
+                gx = np.broadcast_to(gx, (reps, gx.shape[-1])).copy()
             if gy.ndim == 1:
                 gy = np.broadcast_to(gy, (reps, gy.shape[-1])).copy()
         if self.noise.radius > 0.0:
@@ -352,7 +360,7 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
             if self.hess_noise_dir.shape != (n, n):
                 raise InvalidProblemError("hess_noise_dir must match hess shape")
         try:
-            self._chol = cho_factor(self.hess, lower=True)
+            self._chol = cho_factor(self.hess, lower=True)[0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
             raise InvalidProblemError("hess is not positive definite") from exc
         if np.linalg.eigvalsh(self.hess)[0] <= 0:
@@ -401,18 +409,29 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
     # --- mean oracles ---------------------------------------------------
 
     def lower_value(self, x, y) -> float:
-        lin = self.coupling @ x + self.offset
-        return float(0.5 * y @ self.hess @ y - y @ lin)
+        return float(0.5 * y @ self.hess @ y - y @ self._lin(x))
+
+    # below, x, y and v may carry a leading row axis (the sweep's lock-step
+    # seeds, the verifier's replications); every product is one gemv per
+    # row, so each row has the bits of its 1-D call
+
+    def _lin(self, x):
+        return (self.coupling @ x[..., None])[..., 0] + self.offset
 
     def lower_grad_y(self, x, y):
-        return y @ self.hess - (self.coupling @ x + self.offset)
+        return _row_gemv(y, self.hess) - self._lin(x)
 
     def lower_hess_vec(self, x, y, v):
-        return v @ self.hess
+        return _row_gemv(v, self.hess)
 
     def lower_cross_vec(self, x, y, v):
         """Mean cross-derivative product: (d^2 g / dx dy) v = -B'v."""
-        return -(v @ self.coupling)
+        return -_row_gemv(v, self.coupling)
+
+    def _cho_solve(self, b):
+        # LAPACK's potrs, as scipy's cho_solve calls it, with its check
+        # that b is finite but without its per-call overhead
+        return dpotrs(self._chol, np.asarray_chkfinite(b), lower=1)[0]
 
     def solve_lower_hess(self, x, y, rhs):
         """Solve H v = rhs; a leading row axis on y or rhs (or both) gives
@@ -420,11 +439,11 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         if y.ndim > rhs.ndim:
             rhs = np.broadcast_to(rhs, y.shape)
         if rhs.ndim == 1:
-            return cho_solve(self._chol, rhs)
-        return cho_solve(self._chol, rhs.T).T
+            return self._cho_solve(rhs)
+        return self._cho_solve(rhs.T).T
 
     def lower_solution(self, x):
-        return cho_solve(self._chol, self.coupling @ x + self.offset)
+        return self._cho_solve(self._lin(x))
 
     # --- sampled oracles ------------------------------------------------
 
@@ -440,22 +459,15 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
 
     def sample_hess_operator(self, x, gen, reps=None):
         if self.noise.hess_scale == 0.0:
-            return lambda y, v: v @ self.hess
-        u = gen.uniform(0.0, self.noise.hess_scale, size=() if reps is None else (reps,))
+            return lambda y, v: _row_gemv(v, self.hess)
+        u = gen.uniform(0.0, self.noise.hess_scale,
+                        size=() if reps is None else (reps,))[..., None]
         dir_mat = self.hess_noise_dir
-
-        def hvp(y, v):
-            base = v @ self.hess
-            bump = v @ dir_mat
-            if np.ndim(u) == 1:
-                return base + u[:, None] * bump
-            return base + u * bump
-
-        return hvp
+        return lambda y, v: _row_gemv(v, self.hess) + u * _row_gemv(v, dir_mat)
 
     def sample_cross_operator(self, x, gen, reps=None):
         # the cross derivative of the quadratic family is deterministic
-        return lambda y, v: -(v @ self.coupling)
+        return lambda y, v: -_row_gemv(v, self.coupling)
 
 
 def _check_constants_match(stored: ProblemConstants, recomputed: ProblemConstants):

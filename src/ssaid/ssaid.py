@@ -142,6 +142,15 @@ def _finite(x, y, v) -> bool:
     return math.isfinite(float(add(x)) + float(add(y)) + float(add(v)))
 
 
+def _finite_rows(x, y, v) -> list:
+    """``_finite`` of each row of stacked iterates; the magnitude sum over
+    all rows settles the common case at once."""
+    if (sum(map(abs, x.ravel().tolist())) + sum(map(abs, y.ravel().tolist()))
+            + sum(map(abs, v.ravel().tolist()))) < 1e300:
+        return [True] * len(x)
+    return [_finite(*row) for row in zip(x, y, v)]
+
+
 def _advance(state: SSAIDState, problem, factory: StreamFactory, inner,
              solver):
     """One iteration from ``state`` with the lower steps ``inner`` and the

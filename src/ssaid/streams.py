@@ -32,6 +32,7 @@ __all__ = [
     "BRANCH_SLOT",
     "stream",
     "StreamFactory",
+    "RowStreams",
 ]
 
 # one tag per draw site of a single iteration
@@ -90,3 +91,34 @@ class StreamFactory:
         counter[2] = iteration
         bg.state = state
         return gen
+
+
+class RowStreams:
+    """Draw source for stacked rows that each follow their own seed.
+
+    ``at(k, tag, slot)`` positions every seed's StreamFactory at that
+    address.  A draw of shape ``(S, *shape)`` then stacks each seed's draw
+    of ``shape``, so with ``reps=S`` row i gets exactly the bytes a one-seed
+    run under seed i draws there.  ``select`` drops the seeds of rows that
+    left the batch.
+    """
+
+    def __init__(self, seeds):
+        self.factories = [StreamFactory(s) for s in seeds]
+        self._gens = []
+
+    def select(self, keep):
+        self.factories = [f for f, k in zip(self.factories, keep) if k]
+
+    def at(self, iteration: int, tag: int, slot: int = 0) -> "RowStreams":
+        self._gens = [f.at(iteration, tag, slot) for f in self.factories]
+        return self
+
+    def standard_normal(self, size):
+        out = np.empty(size)
+        for gen, row in zip(self._gens, out):
+            gen.standard_normal(out=row)
+        return out
+
+    def uniform(self, low, high, size):
+        return np.array([gen.uniform(low, high, size[1:]) for gen in self._gens])

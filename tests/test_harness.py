@@ -469,3 +469,18 @@ def test_cli_bad_config_file_exits_one(tmp_path):
     assert run_cli("gen", "--config", str(cfg)) == 1
     cfg.write_text("{not json")
     assert run_cli("gen", "--config", str(cfg)) == 1
+
+
+def test_cli_config_key_the_command_lacks_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = ["--out-dir", str(tmp_path / "out")]
+    cfg.write_text(json.dumps({"dimm": 4}))
+    assert run_cli("gen", "--config", str(cfg), *out) == 1
+    assert "dimm" in capsys.readouterr().err
+    # a flag of another command is no key of this one
+    cfg.write_text(json.dumps({"dim": 4, "threads": 8}))
+    assert run_cli("gen", "--config", str(cfg), *out) == 1
+    cfg.write_text(json.dumps({"dim": 4}))
+    assert run_cli("gen", "--config", str(cfg), *out) == 0
+    doc = json.loads(next((tmp_path / "out").glob("problem_*.json")).read_text())
+    assert doc["dim_x"] == doc["dim_y"] == 4

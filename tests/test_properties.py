@@ -5,17 +5,22 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from ssaid import harness  # noqa: E402
+from ssaid import ssaid as core  # noqa: E402
+from ssaid import streams as streams_mod  # noqa: E402
 from ssaid.baselines import MultiLoopConfig, run_multiloop  # noqa: E402
-from ssaid.problems import (_SOLVE_BLOCK, NoiseModel,  # noqa: E402
-                            make_logistic_problem, make_quadratic_problem)
+from ssaid.errors import DivergenceError  # noqa: E402
+from ssaid.problems import (_SOLVE_BLOCK, REFERENCE_TOL,  # noqa: E402
+                            NoiseModel, make_logistic_problem,
+                            make_quadratic_problem, reference_solution)
 from ssaid.ssaid import RunConfig, resolve_step_sizes, run_ssaid  # noqa: E402
 from ssaid.streams import (BRANCH_SLOT, TAG_CROSS_OP,  # noqa: E402
                            TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD,
-                           StreamFactory, stream)
+                           RowStreams, StreamFactory, stream)
 from ssaid.verification import _simulate_history  # noqa: E402
 
 _VALUES = st.floats(-50.0, 50.0, allow_nan=False)
@@ -150,3 +155,188 @@ def test_stream_factory_draws_depend_only_on_the_address(data, addresses):
     assert draws(order + order[::2]) == first
     assert first == {a: stream(*a).random(4).tobytes() for a in addresses}
     assert len(set(first.values())) == len(addresses)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's lock-step groups
+
+
+@st.composite
+def _quadratics(draw, max_dim=4):
+    """A small quadratic instance with drawn noise channels."""
+    dim_x, dim_y = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    noise = NoiseModel(sigma=draw(_SCALES), radius=draw(_SCALES),
+                       hess_scale=draw(_SCALES))
+    kappa = 1.0 if dim_y == 1 else draw(st.floats(1.0, 30.0))
+    return make_quadratic_problem(dim_x, dim_y, kappa, noise=noise,
+                                  seed=draw(st.integers(0, 2**32 - 1)))
+
+
+_SEED_SETS = st.lists(st.integers(0, 50), min_size=1, max_size=5)
+
+
+@given(data=st.data(), problem=_quadratics(max_dim=5), seeds=_SEED_SETS,
+       shared_x=st.booleans())
+def test_stacked_quadratic_products_equal_one_row_calls(data, problem, seeds,
+                                                       shared_x):
+    rows = len(seeds)
+    xs = data.draw(arrays(np.float64, (rows, problem.dim_x), elements=_VALUES),
+                   label="x")
+    y, v = (data.draw(arrays(np.float64, (rows, problem.dim_y),
+                             elements=_VALUES), label=name)
+            for name in ("y", "v"))
+    x = xs[0] if shared_x else xs
+    k = data.draw(st.integers(0, 2**20), label="k")
+
+    def one(i, tag):
+        return StreamFactory(seeds[i]).at(k, tag)
+
+    stacked = {
+        "lower_grad_y": problem.lower_grad_y(x, y),
+        "lower_hess_vec": problem.lower_hess_vec(x, y, v),
+        "lower_cross_vec": problem.lower_cross_vec(x, y, v),
+        "sample_lower_grad": problem.sample_lower_grad(
+            x, y, RowStreams(seeds).at(k, TAG_LOWER_GRAD), reps=rows),
+        "sample_upper_grads": np.concatenate(problem.sample_upper_grads(
+            x, y, RowStreams(seeds).at(k, TAG_UPPER_GRAD), reps=rows), axis=1),
+        "hvp": problem.sample_hess_operator(
+            x, RowStreams(seeds).at(k, TAG_HESS_OP), reps=rows)(y, v),
+        "jvp": problem.sample_cross_operator(
+            x, RowStreams(seeds).at(k, TAG_CROSS_OP), reps=rows)(y, v),
+    }
+    for i in range(rows):
+        xi, yi, vi = xs[0 if shared_x else i].copy(), y[i].copy(), v[i].copy()
+        single = {
+            "lower_grad_y": problem.lower_grad_y(xi, yi),
+            "lower_hess_vec": problem.lower_hess_vec(xi, yi, vi),
+            "lower_cross_vec": problem.lower_cross_vec(xi, yi, vi),
+            "sample_lower_grad": problem.sample_lower_grad(
+                xi, yi, one(i, TAG_LOWER_GRAD)),
+            "sample_upper_grads": np.concatenate(problem.sample_upper_grads(
+                xi, yi, one(i, TAG_UPPER_GRAD))),
+            "hvp": problem.sample_hess_operator(
+                xi, one(i, TAG_HESS_OP))(yi, vi),
+            "jvp": problem.sample_cross_operator(
+                xi, one(i, TAG_CROSS_OP))(yi, vi),
+        }
+        for name, want in single.items():
+            assert np.array_equal(stacked[name][i], want), name
+
+
+class _InfiniteDraws:
+    """Stands in for a generator: every draw is +inf."""
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.full(size, np.inf)
+        out[...] = np.inf
+        return out
+
+    def uniform(self, low, high, size=None):
+        return np.full(size, np.inf)
+
+
+_POISONED_SEED = 2**63 + 5   # outside the drawn seeds
+
+
+def _poisoned_factory(start):
+    """A StreamFactory class whose draws under ``_POISONED_SEED`` turn
+    infinite from iteration ``start`` on, so that seed's run diverges there
+    if the problem draws at all."""
+
+    class Poisoned(StreamFactory):
+        def at(self, iteration, tag, slot=0):
+            gen = super().at(iteration, tag, slot)
+            if self.seed == _POISONED_SEED and iteration >= start:
+                return _InfiniteDraws()
+            return gen
+
+    return Poisoned
+
+
+def _trace(problem, kind, preset, seed, max_iters):
+    """The runner's trace of one sweep cell's run: its rows sit at the
+    sweep's check iterations and hold the same stationarity measure.  A
+    diverged run keeps the rows recorded before."""
+    run = RunConfig(seed=seed, horizon=max_iters,
+                    stride=max(1, max_iters // harness._SWEEP_CHECKS))
+    try:
+        if kind == "ssaid":
+            return run_ssaid(problem, run)
+        return run_multiloop(problem, MultiLoopConfig(*preset), run)
+    except DivergenceError as err:
+        return err.trace
+
+
+def _cell_from_trace(trace, epsilon):
+    """A sweep cell by brute force: it crosses at the first trace row whose
+    running average reaches epsilon."""
+    total = 0.0
+    for n, (g, gc, mv) in enumerate(zip(trace.grad_phi_sq, trace.gc_count,
+                                        trace.mv_count), start=1):
+        total += float(g)
+        if total / n <= epsilon:
+            return int(max(gc, mv)), False
+    return None, True
+
+
+@given(problem=_quadratics(), seeds=_SEED_SETS,
+       algorithm=st.one_of(st.just("ssaid"),
+                           st.builds("multiloop:{}:{}".format,
+                                     st.integers(1, 3), st.integers(1, 3))),
+       max_iters=st.one_of(st.integers(1, 60), st.integers(300, 1000)),
+       checks=st.integers(8, 64),
+       pivot=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 1.0, 0.5, 2.0]),
+       poison=st.one_of(st.none(), st.tuples(st.integers(0, 4),
+                                             st.integers(0, 3))))
+@example(problem=make_quadratic_problem(4, 4, 5.0, noise=NoiseModel(sigma=1.0)),
+         seeds=[0, 1, 2, 3], algorithm="ssaid", max_iters=1000, checks=64,
+         pivot=0.6, scale=1.0, poison=(2, 300))  # four crossings, one divergence
+def test_lock_step_group_equals_one_seed_cells(problem, seeds, algorithm,
+                                               max_iters, checks, pivot,
+                                               scale, poison):
+    kind, preset = harness.parse_algorithm(algorithm, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        # fewer checks per run, so that small caps have strides above 1
+        mp.setattr(harness, "_SWEEP_CHECKS", checks)
+        # epsilon is the first seed's running average at a drawn check row,
+        # so the seeds cross near that row, at different rows, or never
+        # (scale 0.5), or at the first row (scale 2)
+        first = _trace(problem, kind, preset, seeds[0], max_iters)
+        ra = first.running_average()
+        epsilon = scale * float(ra[round(pivot * (ra.size - 1))])
+        if poison is not None:
+            # one more seed, whose draws turn infinite at iteration `start`
+            position, start = poison
+            seeds = seeds[:position] + [_POISONED_SEED] + seeds[position:]
+            for module in (streams_mod, core):
+                mp.setattr(module, "StreamFactory", _poisoned_factory(start))
+        group = harness._run_group(problem, kind, preset, tuple(seeds),
+                                   epsilon, max_iters)
+        cells = [harness._run_to_epsilon(problem, kind, preset, s, epsilon,
+                                         max_iters) for s in seeds]
+        brute = [_cell_from_trace(_trace(problem, kind, preset, s, max_iters),
+                                  epsilon) for s in seeds]
+    assert group == cells == brute
+    if poison is not None and poison[1] == 0 and problem.stochastic_tags:
+        # it diverges in its first step, before any check row
+        assert group[seeds.index(_POISONED_SEED)] == (None, True)
+
+
+@given(problem=_problems(), data=st.data())
+def test_reference_residuals_stay_under_tolerance(problem, data):
+    x = data.draw(arrays(np.float64, problem.dim_x, elements=_VALUES), label="x")
+    ref = reference_solution(problem, x)
+    lip = problem.constants.lipschitz_L   # bounds the lower Hessian's norm
+    # the residual of an exact solve is the rounding of the products that
+    # form it, so the bound scales with their size
+    rhs = problem.upper.grad_y(x, ref.y_star)
+    assert ref.residuals["adjoint"] <= REFERENCE_TOL * max(
+        1.0, lip * np.linalg.norm(ref.v_star) + np.linalg.norm(rhs))
+    if problem.family == "logistic":
+        # Newton returns only once the gradient norm is this small
+        assert ref.residuals["lower"] <= REFERENCE_TOL
+    else:
+        lin = -problem.lower_grad_y(x, np.zeros(problem.dim_y))
+        assert ref.residuals["lower"] <= REFERENCE_TOL * max(
+            1.0, lip * np.linalg.norm(ref.y_star) + np.linalg.norm(lin))
