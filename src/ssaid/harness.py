@@ -32,7 +32,7 @@ from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
 from .hypergradient import StepSizes, compute_derived_constants
-from .problems import (NoiseModel, make_logistic_problem,
+from .problems import (NoiseModel, _row_dot, make_logistic_problem,
                        make_quadratic_problem, problem_from_json,
                        problem_hash, problem_to_json, reference_solution)
 from .ssaid import (IterationTrace, RunConfig, _finite_rows, _ssaid_start,
@@ -246,7 +246,8 @@ def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
 
     Returns (complexity, censored) per seed: the oracle count at the
     crossing, or (None, True) if the run diverged or never resolved within
-    max_iters.
+    max_iters.  A check row makes one stacked reference solve over the
+    running seeds, each row with its one-seed bits.
     """
     config = RunConfig(seed=seeds[0], horizon=max_iters)
     if kind == "ssaid":
@@ -274,10 +275,12 @@ def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
         keep = _finite_rows(x, y, v)   # a diverged run never crossed
         if k % stride == 0 or k == max_iters - 1:
             n_checks += 1
-            for i, seed_ix in enumerate(live):
-                if keep[i]:
-                    ref = reference_solution(problem, x_before[i])
-                    totals[seed_ix] += float(ref.grad_phi @ ref.grad_phi)
+            rows = [i for i, kept in enumerate(keep) if kept]
+            if rows:
+                grad_phi = reference_solution(problem, x_before[rows]).grad_phi
+                for i, sq in zip(rows, _row_dot(grad_phi, grad_phi).tolist()):
+                    seed_ix = live[i]
+                    totals[seed_ix] += sq
                     if totals[seed_ix] / n_checks <= epsilon:
                         outcomes[seed_ix] = (int(max(counts) * (k + 1)), False)
                         keep[i] = False

@@ -181,9 +181,10 @@ class PseudoHuberCosineUpper:
                           ("_delta_sq", self.huber_delta * self.huber_delta)):
             object.__setattr__(self, name, np.array(val))
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.sum(_pseudo_huber(y - self.target, self.huber_delta))
-                     + self.cos_amp * np.sum(np.cos(self.cos_freq * x)))
+    def value(self, x: np.ndarray, y: np.ndarray):
+        """f(x, y); a leading row axis on x and y gives one value per row."""
+        return (np.sum(_pseudo_huber(y - self.target, self.huber_delta), axis=-1)
+                + self.cos_amp * np.sum(np.cos(self.cos_freq * x), axis=-1))
 
     def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._slope * np.sin(self._freq * x)
@@ -229,9 +230,10 @@ class PlainQuadraticUpper:
         if self.x_weight < 0:
             raise InvalidParameterError("x_weight must be >= 0")
 
-    def value(self, x, y) -> float:
-        return float(0.5 * np.sum((y - self.target) ** 2)
-                     + 0.5 * self.x_weight * np.sum(x ** 2))
+    def value(self, x, y):
+        """f(x, y); a leading row axis on x and y gives one value per row."""
+        return (0.5 * np.sum((y - self.target) ** 2, axis=-1)
+                + 0.5 * self.x_weight * np.sum(x ** 2, axis=-1))
 
     def grad_x(self, x, y):
         return self.x_weight * x
@@ -270,6 +272,16 @@ def _row_gemv(v, mat):
     """``v @ mat`` as one (1, d) gemv per row of a stacked ``v``, which has
     the bits of the 1-D call; a plain (rows, d) gemm rounds differently."""
     return (v[..., None, :] @ mat)[..., 0, :]
+
+
+def _row_dot(a, b):
+    """``a @ b`` of each row of stacked vectors, one ddot per row, which has
+    the bits of the 1-D call (and ``np.linalg.norm`` is the root of it)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norm(a):
+    return np.sqrt(_row_dot(a, a))
 
 
 def _sphere_noise(gen: np.random.Generator, dim: int, radius: float, reps):
@@ -430,19 +442,19 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
 
     def _cho_solve(self, b):
         # LAPACK's potrs, as scipy's cho_solve calls it, with its check
-        # that b is finite but without its per-call overhead
-        return dpotrs(self._chol, np.asarray_chkfinite(b), lower=1)[0]
+        # that b is finite but without its per-call overhead; the rows of a
+        # stacked b are its right-hand sides, each with its 1-D bits
+        return dpotrs(self._chol, np.asarray_chkfinite(b).T, lower=1)[0].T
 
     def solve_lower_hess(self, x, y, rhs):
         """Solve H v = rhs; a leading row axis on y or rhs (or both) gives
         one system per row, each with the same bits as its 1-D solve."""
         if y.ndim > rhs.ndim:
             rhs = np.broadcast_to(rhs, y.shape)
-        if rhs.ndim == 1:
-            return self._cho_solve(rhs)
-        return self._cho_solve(rhs.T).T
+        return self._cho_solve(rhs)
 
     def lower_solution(self, x):
+        """y*(x); a leading row axis on x gives one solve per row."""
         return self._cho_solve(self._lin(x))
 
     # --- sampled oracles ------------------------------------------------
@@ -495,8 +507,9 @@ def _softplus(t):
     return np.logaddexp(0.0, t)
 
 
-# rows per stacked solve in LogisticBilevelProblem.solve_lower_hess; bounds
-# the (rows, n, p) temporaries, so peak memory does not grow with the rows
+# rows per stacked solve in LogisticBilevelProblem.solve_lower_hess, and per
+# block of a run's trace rows; bounds the (rows, n, p) temporaries, so peak
+# memory does not grow with the rows
 _SOLVE_BLOCK = 256
 
 # max |s''| of the sigmoid, attained at s = 1/2 +- 1/(2 sqrt 3)
@@ -589,72 +602,100 @@ class LogisticBilevelProblem(_BilevelProblemBase):
 
     # --- mean oracles ---------------------------------------------------
 
+    # below, x, y and v may carry a leading row axis (stacked reference
+    # solves, the verifier's replications); every product is one gemv per
+    # row, as for 1-D arguments, where a plain (rows, n) @ (n, p) gemm
+    # would round differently
+
     def _margins(self, x, y):
-        # y[..., None, :] makes each row of a stacked y one gemv, as for 1-D y;
-        # a plain (rows, n) @ (n, p) gemm would round differently
-        return (y[..., None, :] @ self.features.T)[..., 0, :] - self.cross_rows @ x
+        return (_row_gemv(y, self.features.T)
+                - (self.cross_rows @ x[..., None])[..., 0])
 
     def lower_value(self, x, y) -> float:
         return float(0.5 * self.reg * y @ y + np.sum(_softplus(self._margins(x, y))))
 
     def lower_grad_y(self, x, y):
-        return self.reg * y + _sigmoid(self._margins(x, y)) @ self.features
+        return self.reg * y + _row_gemv(_sigmoid(self._margins(x, y)),
+                                        self.features)
 
     def lower_hess_dense(self, x, y):
-        """H(x, y); a leading row axis on y gives one Hessian (one gemm) per row."""
+        """H(x, y); a leading row axis on y (and x) gives one Hessian (one
+        gemm) per row."""
         s = _sigmoid(self._margins(x, y))
         w = s * (1.0 - s)
         return (self.reg * np.eye(self.dim_y)
                 + (self.features.T * w[..., None, :]) @ self.features)
 
-    def lower_hess_vec(self, x, y, v):
+    def _curvature_times(self, x, y, v):
+        # w * (A v) with w = s(1 - s) the softplus curvature at each margin
         s = _sigmoid(self._margins(x, y))
-        w = s * (1.0 - s)
-        return self.reg * v + (w * (v @ self.features.T)) @ self.features
+        return s * (1.0 - s) * _row_gemv(v, self.features.T)
+
+    def lower_hess_vec(self, x, y, v):
+        return self.reg * v + _row_gemv(self._curvature_times(x, y, v),
+                                        self.features)
 
     def lower_cross_vec(self, x, y, v):
-        s = _sigmoid(self._margins(x, y))
-        w = s * (1.0 - s)
-        return -((w * (v @ self.features.T)) @ self.cross_rows)
+        return -_row_gemv(self._curvature_times(x, y, v), self.cross_rows)
 
     def solve_lower_hess(self, x, y, rhs):
         """Solve H(x, y) v = rhs; a leading row axis on y or rhs (or both)
-        gives one system per row, each with the same bits as its 1-D solve."""
+        gives one system per row, each with the same bits as its 1-D solve.
+        A stacked x, if any, has y's rows."""
         if rhs.ndim == 1 and y.ndim == 1:
             return np.linalg.solve(self.lower_hess_dense(x, y), rhs)
         y2, rhs2 = np.broadcast_arrays(y, rhs)
         out = np.empty(y2.shape)
         for lo in range(0, y2.shape[0], _SOLVE_BLOCK):
             blk = slice(lo, lo + _SOLVE_BLOCK)
+            xb = x if x.ndim == 1 else x[blk]
             # one gesv per row, as in the 1-D path
-            out[blk] = np.linalg.solve(self.lower_hess_dense(x, y2[blk]),
+            out[blk] = np.linalg.solve(self.lower_hess_dense(xb, y2[blk]),
                                        rhs2[blk, :, None])[..., 0]
         return out
 
     def lower_solution(self, x):
-        y = np.zeros(self.dim_y)
-        grad = self.lower_grad_y(x, y)
+        """y*(x) by damped Newton from y = 0.  A leading row axis on x gives
+        one solve per row: each row keeps its own stopping test, step
+        halvings and iteration limits, leaves once it converges, and has the
+        bits of its 1-D solve.  A row that fails raises
+        ConvergenceFailureError, the first such row in row order."""
+        xs = x.reshape(-1, self.dim_x)
+        y = np.zeros((len(xs), self.dim_y))
+        grad = self.lower_grad_y(xs, y)
+        res = _row_norm(grad)
+        # rows still iterating; `not <=` keeps a NaN residual in, as in 1-D
+        live = np.flatnonzero(~(res <= REFERENCE_TOL))
         for _ in range(200):
-            if np.linalg.norm(grad) <= REFERENCE_TOL:
-                return y
-            step = np.linalg.solve(self.lower_hess_dense(x, y), grad)
-            t = 1.0
+            if not live.size:
+                break
+            x_l, y_l, res_l = xs[live], y[live], res[live]
+            step = self.solve_lower_hess(x_l, y_l, grad[live])
             # softplus curvature only shrinks along the Newton path, but damp
             # anyway in case a huge margin saturates the model
+            t = 1.0
+            todo = np.arange(live.size)   # rows of `live` still halving
             for _ in range(60):
-                cand = y - t * step
-                cand_grad = self.lower_grad_y(x, cand)
-                if np.linalg.norm(cand_grad) < np.linalg.norm(grad):
-                    y, grad = cand, cand_grad
+                cand = y_l[todo] - t * step[todo]
+                cand_grad = self.lower_grad_y(x_l[todo], cand)
+                cand_res = _row_norm(cand_grad)
+                ok = cand_res < res_l[todo]
+                done = live[todo[ok]]
+                y[done], grad[done], res[done] = cand[ok], cand_grad[ok], cand_res[ok]
+                todo = todo[~ok]
+                if not todo.size:
                     break
                 t *= 0.5
-            else:
-                break
-        res = float(np.linalg.norm(self.lower_grad_y(x, y)))
-        if res <= REFERENCE_TOL:
-            return y
-        raise ConvergenceFailureError(
-            f"Newton stalled at residual {res:.3e}", residual=res)
+            # a row whose 60 halvings all failed has stalled, and stops
+            moved = np.ones(live.size, dtype=bool)
+            moved[todo] = False
+            live = live[moved & ~(res[live] <= REFERENCE_TOL)]
+        failed = np.flatnonzero(~(res <= REFERENCE_TOL))
+        if failed.size:
+            first = float(res[failed[0]])
+            raise ConvergenceFailureError(
+                f"Newton stalled at residual {first:.3e}", residual=first)
+        return y.reshape(x.shape[:-1] + (self.dim_y,))
 
     # --- sampled oracles ------------------------------------------------
 
@@ -806,6 +847,9 @@ def lower_solution(problem, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ReferenceSolution:
+    """y*(x), v*(x) and grad phi(x), with the norms of the lower-gradient
+    and adjoint-equation residuals; a stacked x gives each a row axis."""
+
     y_star: np.ndarray
     v_star: np.ndarray
     grad_phi: np.ndarray
@@ -813,14 +857,16 @@ class ReferenceSolution:
 
 
 def reference_solution(problem, x: np.ndarray) -> ReferenceSolution:
+    """The exact reference at ``x``.  A leading row axis on x gives one
+    solution per row, each with the bits of its 1-D call."""
+    x = np.asarray(x, dtype=float)
     y_star = lower_solution(problem, x)
     v_star = problem.adjoint_solution(x, y_star)
     grad_phi = problem.upper.grad_x(x, y_star) - problem.lower_cross_vec(x, y_star, v_star)
     residuals = {
-        "lower": float(np.linalg.norm(problem.lower_grad_y(x, y_star))),
-        "adjoint": float(np.linalg.norm(
-            problem.lower_hess_vec(x, y_star, v_star)
-            - problem.upper.grad_y(x, y_star))),
+        "lower": _row_norm(problem.lower_grad_y(x, y_star)),
+        "adjoint": _row_norm(problem.lower_hess_vec(x, y_star, v_star)
+                             - problem.upper.grad_y(x, y_star)),
     }
     return ReferenceSolution(y_star=y_star, v_star=v_star, grad_phi=grad_phi,
                              residuals=residuals)

@@ -10,7 +10,9 @@ matrix-vector samples.
 Traces record post-iteration snapshots: row k holds the exact gradient of
 the implicit objective at the iterate the step started from, the tracking
 errors of the freshly produced y_hat/v_hat against ground truth at that
-same iterate, the upper-step length, and cumulative oracle counters.
+same iterate, the upper-step length, and cumulative oracle counters.  The
+reference solves behind the rows run in stacked blocks of 256 rows; each
+row has the bytes of its one-row solve.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .hypergradient import StepSizes, compute_derived_constants, default_step_sizes
-from .problems import reference_solution
+from .problems import _SOLVE_BLOCK, _row_dot, _row_norm, reference_solution
 from .streams import (
     TAG_CROSS_OP,
     TAG_HESS_OP,
@@ -277,16 +279,23 @@ def resolve_step_sizes(problem, config: RunConfig, v0: np.ndarray) -> StepSizes:
                               horizon_k=max(config.horizon, 1))
 
 
-def _reference_row(problem, k, x, y_hat, v_hat, x_step, gc, mv):
+def _reference_rows(problem, buffered, counts):
+    """Trace rows of the buffered (k, x_before, state) triples, from one
+    stacked reference solve; every norm is one ddot per row, so each row
+    has the bits of its one-row computation.  ``counts`` is the
+    per-iteration (gradient, matrix-vector) oracle bill."""
+    ks = [k for k, _, _ in buffered]
+    x = np.stack([x_before for _, x_before, _ in buffered])
+    x_new, y_hat, v_hat = (np.stack([getattr(st, name) for _, _, st in buffered])
+                           for name in ("x", "y_hat", "v_hat"))
     ref = reference_solution(problem, x)
-    return (k,
-            float(ref.grad_phi @ ref.grad_phi),
-            float(np.linalg.norm(y_hat - ref.y_star)),
-            float(np.linalg.norm(v_hat - ref.v_star)),
-            float(np.linalg.norm(v_hat)),
-            float(x_step),
-            problem.upper.value(x, ref.y_star),
-            gc, mv)
+    cols = (_row_dot(ref.grad_phi, ref.grad_phi),
+            _row_norm(y_hat - ref.y_star), _row_norm(v_hat - ref.v_star),
+            _row_norm(v_hat), _row_norm(x_new - x),
+            problem.upper.value(x, ref.y_star))
+    gc, mv = counts
+    return [(k, *vals, gc * (k + 1), mv * (k + 1))
+            for k, *vals in zip(ks, *(c.tolist() for c in cols))]
 
 
 def drive(step, state, horizon: int, stride: int, on_row):
@@ -307,25 +316,33 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
     """Drive ``step`` for ``config.horizon`` iterations with a reference row
     at every stride-th and the final one; ``counts`` is the per-iteration
     (gradient, matrix-vector) oracle bill.  Horizon 0 records the initial
-    point.  A DivergenceError leaves carrying the rows recorded so far."""
-    gc_inc, mv_inc = counts
+    point.  Rows are buffered and solved in blocks of ``_SOLVE_BLOCK``; a
+    DivergenceError leaves carrying every row recorded before it."""
     steps = state.steps
-    rows = []
+    rows, pending = [], []
+
+    def flush(bill=counts):
+        if pending:
+            rows.extend(_reference_rows(problem, pending, bill))
+            pending.clear()
 
     def on_row(k, x_before, st):
-        rows.append(_reference_row(problem, k, x_before, st.y_hat, st.v_hat,
-                                   float(np.linalg.norm(st.x - x_before)),
-                                   gc_inc * (k + 1), mv_inc * (k + 1)))
+        pending.append((k, x_before, st))
+        if len(pending) == _SOLVE_BLOCK:
+            flush()
 
     try:
         state = drive(step, state, config.horizon, config.stride, on_row)
     except DivergenceError as err:
+        flush()
         err.trace = IterationTrace.from_rows(rows, final_state=err.state,
                                              steps=steps)
         raise
+    flush()
     if not rows:
-        rows.append(_reference_row(problem, 0, state.x, state.y_hat,
-                                   state.v_hat, 0.0, 0, 0))
+        # the initial point, with no step taken and no oracle called
+        pending.append((0, state.x, state))
+        flush((0, 0))
     return IterationTrace.from_rows(rows, final_state=state, steps=steps)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .hypergradient import (DerivedConstants, StepSizes, check_lower_rates,
                             compute_derived_constants)
-from .problems import ProblemConstants, reference_solution
+from .problems import ProblemConstants, ReferenceSolution, reference_solution
 from .ssaid import (_ONCE, IterationTrace, RunConfig, _advance, _setup,
                     initial_vectors, iterate, run_ssaid)
 from .streams import BRANCH_SLOT, StreamFactory
@@ -282,15 +282,15 @@ def _resolve_inputs(problem, config: RunConfig, mc: MCConfig,
     return steps, derived
 
 
-def _ref_cache(problem, hist: _History):
-    cache = {}
-
-    def ref(t: int):
-        if t not in cache:
-            cache[t] = reference_solution(problem, hist.xs[t])
-        return cache[t]
-
-    return ref
+def _ref_cache(problem, hist: _History, ts):
+    """``ref(t)``, the reference solution at history point t, for every t in
+    ``ts``; one stacked solve, each row with the bits of its 1-D solve."""
+    ts = sorted(set(ts))
+    sol = reference_solution(problem, np.stack([hist.xs[t] for t in ts]))
+    return {t: ReferenceSolution(
+                sol.y_star[i], sol.v_star[i], sol.grad_phi[i],
+                {name: res[i] for name, res in sol.residuals.items()})
+            for i, t in enumerate(ts)}.__getitem__
 
 
 def _norms(arr: np.ndarray) -> np.ndarray:
@@ -308,7 +308,8 @@ def check_lower_tracking(problem, config: RunConfig,
     steps, _ = _resolve_inputs(problem, config, mc)
     c = problem.constants
     hist = _simulate_history(problem, config, max(mc.checkpoints))
-    ref = _ref_cache(problem, hist)
+    ref = _ref_cache(problem, hist, [t for k in mc.checkpoints
+                                     for t in (k, max(k - 1, 0))])
     rows = []
     for k in mc.checkpoints:
         branch = _branch_iteration(problem, steps, hist, k, mc)
@@ -337,7 +338,7 @@ def check_bias_recursions(problem, config: RunConfig, mc: MCConfig) -> list:
     alpha, eta = steps.alpha, steps.eta
     c0 = derived.c0
     hist = _simulate_history(problem, config, max(mc.checkpoints))
-    ref = _ref_cache(problem, hist)
+    ref = _ref_cache(problem, hist, mc.checkpoints)
 
     decoupling, bias_rec, drift, contraction = [], [], [], []
     skipped_zero = False
@@ -451,7 +452,8 @@ def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:
     c_beta = derived.c_beta(c, alpha, beta)
     horizon = max(mc.checkpoints)
     hist = _simulate_history(problem, config, max(horizon, 1))
-    ref = _ref_cache(problem, hist)
+    # the initial composite, every checkpoint and the iterations before it
+    ref = _ref_cache(problem, hist, range(horizon + 1))
     psi0 = _initial_composite(problem, derived, hist, ref)
     rate = 1.0 - mu * alpha / 8.0
 
@@ -532,7 +534,7 @@ def check_cumulative_bounds(problem, config: RunConfig,
         return LemmaReport("CumulativeBias", [], mc.replications, notes=notes)
     k_max = max(ks)
     hist = _simulate_history(problem, config, k_max)
-    ref = _ref_cache(problem, hist)
+    ref = _ref_cache(problem, hist, range(k_max))
     psi0_sq = _initial_composite(problem, derived, hist, ref) ** 2
 
     bias_terms, mse_terms, bias_var, mse_var, grad_sq = [], [], [], [], []

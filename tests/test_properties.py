@@ -10,14 +10,17 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from ssaid import harness  # noqa: E402
+from ssaid import problems as problems_mod  # noqa: E402
 from ssaid import ssaid as core  # noqa: E402
 from ssaid import streams as streams_mod  # noqa: E402
 from ssaid.baselines import MultiLoopConfig, run_multiloop  # noqa: E402
-from ssaid.errors import DivergenceError  # noqa: E402
+from ssaid.errors import ConvergenceFailureError, DivergenceError  # noqa: E402
 from ssaid.problems import (_SOLVE_BLOCK, REFERENCE_TOL,  # noqa: E402
                             NoiseModel, make_logistic_problem,
-                            make_quadratic_problem, reference_solution)
-from ssaid.ssaid import RunConfig, resolve_step_sizes, run_ssaid  # noqa: E402
+                            make_quadratic_problem, problem_from_json,
+                            problem_to_json, reference_solution)
+from ssaid.ssaid import (TRACE_COLUMNS, IterationTrace,  # noqa: E402
+                         RunConfig, resolve_step_sizes, run_ssaid)
 from ssaid.streams import (BRANCH_SLOT, TAG_CROSS_OP,  # noqa: E402
                            TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD,
                            RowStreams, StreamFactory, stream)
@@ -63,11 +66,11 @@ _SCALES = st.sampled_from([0.0, 0.3, 1.0])
 
 
 @st.composite
-def _problems(draw):
-    """A small instance of either family with drawn noise channels."""
+def _problems(draw, families=("quadratic", "logistic")):
+    """A small instance of a drawn family with drawn noise channels."""
     dim_x, dim_y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
-    if draw(st.sampled_from(["quadratic", "logistic"])) == "quadratic":
+    if draw(st.sampled_from(families)) == "quadratic":
         noise = NoiseModel(sigma=draw(_SCALES), radius=draw(_SCALES),
                            hess_scale=draw(_SCALES))
         # a 1-D lower level has mu = L = 1
@@ -340,3 +343,90 @@ def test_reference_residuals_stay_under_tolerance(problem, data):
         lin = -problem.lower_grad_y(x, np.zeros(problem.dim_y))
         assert ref.residuals["lower"] <= REFERENCE_TOL * max(
             1.0, lip * np.linalg.norm(ref.y_star) + np.linalg.norm(lin))
+
+
+# ---------------------------------------------------------------------------
+# stacked reference solves
+
+
+def _stacked_points(data, problem, rows):
+    """``rows`` points x in [-50, 50]: drawn head rows, then a seeded fill,
+    so that large row counts stay cheap to draw and to shrink."""
+    head = min(rows, 3)
+    x_head = data.draw(arrays(np.float64, (head, problem.dim_x),
+                              elements=_VALUES), label="x")
+    fill = np.random.default_rng(problem.seed)
+    return np.concatenate([x_head, fill.uniform(-50.0, 50.0,
+                                                (rows - head, problem.dim_x))])
+
+
+# one row, a few, and one past a solve block
+_REF_ROWS = st.sampled_from([1, 2, 3, _SOLVE_BLOCK + 1])
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@given(data=st.data(), rows=_REF_ROWS)
+def test_stacked_reference_rows_equal_one_row_calls(family, data, rows):
+    problem = data.draw(_problems(families=(family,)), label="problem")
+    x = _stacked_points(data, problem, rows)
+    stacked = reference_solution(problem, x)
+    for i in range(rows):
+        one = reference_solution(problem, x[i].copy())
+        for name in ("y_star", "v_star", "grad_phi"):
+            assert np.array_equal(getattr(stacked, name)[i],
+                                  getattr(one, name)), name
+        for name, res in one.residuals.items():
+            assert stacked.residuals[name][i] == res, name
+
+
+@given(data=st.data(), problem=_problems(families=("logistic",)),
+       rows=_REF_ROWS, tol=st.sampled_from([-1.0, 0.0, 1e-16, 1e-15]))
+def test_stacked_newton_failure_is_the_first_failing_row(data, problem, rows,
+                                                        tol):
+    # a stopping tolerance no row can meet, or one at the rounding floor,
+    # which some rows meet and others do not
+    x = _stacked_points(data, problem, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems_mod, "REFERENCE_TOL", tol)
+        first = None
+        for i in range(rows):
+            try:
+                reference_solution(problem, x[i].copy())
+            except ConvergenceFailureError as err:
+                first = err
+                break
+        if first is None:
+            reference_solution(problem, x)
+            return
+        with pytest.raises(ConvergenceFailureError) as info:
+            reference_solution(problem, x)
+    assert info.value.residual == first.residual
+    assert str(info.value) == str(first)
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+_CELLS = st.one_of(st.floats(), st.floats(-1e3, 1e3))
+_TRACE_ROWS = st.lists(
+    st.tuples(st.integers(0, 2**62), *[_CELLS] * 6, st.integers(0, 2**62),
+              st.integers(0, 2**62)), max_size=6)
+
+
+@given(rows=_TRACE_ROWS)
+def test_trace_csv_round_trips_byte_for_byte(rows):
+    text = IterationTrace.from_rows(rows).csv_text()
+    assert text.splitlines()[0] == ",".join(TRACE_COLUMNS)
+    assert IterationTrace.from_csv_text(text).csv_text() == text
+
+
+@given(problem=_problems(), run=_RUNS)
+def test_run_trace_csv_round_trips_byte_for_byte(problem, run):
+    text = run_ssaid(problem, run).csv_text()
+    assert IterationTrace.from_csv_text(text).csv_text() == text
+
+
+@given(problem=_problems())
+def test_problem_json_round_trips_byte_for_byte(problem):
+    text = problem_to_json(problem)
+    assert problem_to_json(problem_from_json(text)) == text

@@ -1,5 +1,6 @@
 """Main loop semantics: hand-executed oracles, determinism, divergence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,15 +227,55 @@ def test_oversized_upper_step_raises_divergence_with_partial_trace():
     prob = QuadraticBilevelProblem(hess=np.eye(2), coupling=np.eye(2),
                                    offset=np.zeros(2),
                                    upper=PlainQuadraticUpper(target=np.zeros(2)))
-    steps = StepSizes(alpha=1.0, eta=1.0, beta=50.0, horizon_k=10_000)
-    cfg = RunConfig(seed=7, horizon=10_000, steps=steps, x0=[1.0, -1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as info:
-            run_ssaid(prob, cfg)
-    err = info.value
-    assert err.iteration > 0
-    assert err.trace is not None and err.trace.n_rows >= 1
-    assert np.all(np.isfinite(err.state.x))
+    # one run diverges inside the first block of reference rows, the other
+    # after a full block was solved and with a partial one pending
+    for beta, iteration in ((50.0, 182), (5.0, 511)):
+        steps = StepSizes(alpha=1.0, eta=1.0, beta=beta, horizon_k=10_000)
+        cfg = RunConfig(seed=7, horizon=10_000, steps=steps, x0=[1.0, -1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                run_ssaid(prob, cfg)
+            err = info.value
+            # every row before the failing step, as a run that stops short
+            short = run_ssaid(prob, dataclasses.replace(cfg,
+                                                        horizon=err.iteration))
+        assert err.iteration == iteration
+        assert np.all(np.isfinite(err.state.x))
+        assert err.trace.n_rows == err.iteration
+        assert err.trace.csv_text() == short.csv_text()
+        assert np.array_equal(err.state.x, short.final_state.x)
+
+
+def _one_row(prob, k, before, after, counts):
+    """A trace row from a one-row reference solve and 1-D norms: the row
+    that the runner's stacked blocks must reproduce byte for byte."""
+    ref = reference_solution(prob, before.x)
+    return (k, float(ref.grad_phi @ ref.grad_phi),
+            float(np.linalg.norm(after.y_hat - ref.y_star)),
+            float(np.linalg.norm(after.v_hat - ref.v_star)),
+            float(np.linalg.norm(after.v_hat)),
+            float(np.linalg.norm(after.x - before.x)),
+            prob.upper.value(before.x, ref.y_star),
+            counts[0] * (k + 1), counts[1] * (k + 1))
+
+
+def test_strided_trace_keeps_stride_final_and_initial_rows():
+    prob = noisy_problem()
+    trace = run_ssaid(prob, RunConfig(seed=8, horizon=50, stride=7))
+    assert trace.k.tolist() == [0, 7, 14, 21, 28, 35, 42, 49]
+
+    def state_at(k):   # the state entering iteration k
+        run = RunConfig(seed=8, horizon=k, steps=trace.steps, stride=k + 1)
+        return run_ssaid(prob, run).final_state
+
+    rows = [_one_row(prob, k, state_at(k), state_at(k + 1), (3, 2))
+            for k in trace.k.tolist()]
+    assert trace.csv_text() == IterationTrace.from_rows(rows).csv_text()
+
+    start = run_ssaid(prob, RunConfig(seed=8, horizon=0))
+    initial = state_at(0)
+    assert start.csv_text() == IterationTrace.from_rows(
+        [_one_row(prob, 0, initial, initial, (0, 0))]).csv_text()
 
 
 def test_finite_check_equals_summed_reductions():
