@@ -226,12 +226,6 @@ class SweepResult:
     exponents: dict      # algorithm -> log-log slope of median vs kappa
 
 
-def _sweep_problem(spec: SweepSpec, kappa: float):
-    noise = NoiseModel(sigma=spec.sigma) if spec.sigma > 0 else None
-    return make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,
-                                  seed=spec.problem_seed, noise=noise)
-
-
 def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
     """The sweep cells of ``seeds`` on one quadratic problem and algorithm,
     run in lock-step.  Each seed's run iterates until the running average
@@ -338,7 +332,11 @@ def kappa_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
-    problems = {kappa: _sweep_problem(spec, kappa) for kappa in spec.kappa_grid}
+    noise = NoiseModel(sigma=spec.sigma) if spec.sigma > 0 else None
+    problems = {kappa: make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,
+                                              seed=spec.problem_seed,
+                                              noise=noise)
+                for kappa in spec.kappa_grid}
     groups = [(kappa, alg) for kappa in spec.kappa_grid
               for alg in spec.algorithms]
 
@@ -392,121 +390,142 @@ def sweep_summary_json(result: SweepResult, spec: SweepSpec) -> str:
 
 def _command(subs, name, summary, extra):
     """Parser of one command with --out-dir, --config and the integer flags
-    in ``extra`` (--seed for the single-run commands, --threads for the
-    sweeps).  No prefix matching: `sweep --seed` must not pass as --seeds."""
-    sub = subs.add_parser(name, help=summary, allow_abbrev=False)
-    for flag in extra:
-        sub.add_argument(flag, type=int, default=None)
-    sub.add_argument("--out-dir", default=None)
-    sub.add_argument("--config", default=None,
+    in ``extra``, a {flag: (default, help)} map (--seed for the single-run
+    commands, --threads for the sweeps).  No prefix matching: `sweep --seed`
+    must not pass as --seeds."""
+    sub = subs.add_parser(
+        name, help=summary, allow_abbrev=False,
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    for flag, (default, text) in extra.items():
+        sub.add_argument(flag, type=int, default=default, help=text)
+    sub.add_argument("--out-dir", default=os.environ.get("SSAID_OUT_DIR", "."),
+                     help="output directory, SSAID_OUT_DIR if set")
+    sub.add_argument("--config",
                      help="flat JSON file of flag values; explicit flags win")
     return sub
 
 
+def _list_type(kind):
+    """argparse type of a comma-separated list of ``kind`` values."""
+    def parse(text):
+        return tuple(kind(p) for p in text.split(",") if p.strip())
+    parse.__name__ = f"{kind.__name__} list"   # argparse's error names it
+    return parse
+
+
+_int_list = _list_type(int)
+_float_list = _list_type(float)
+_name_list = _list_type(str.strip)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag's type, choices and default.  A flag whose default derives
+    from another flag's value defaults to None here."""
     parser = argparse.ArgumentParser(
         prog="ssaid",
         description="single-loop stochastic bilevel optimization toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
+    seed = {"--seed": (0, "random seed")}
 
-    gen = _command(subs, "gen", "emit a problem JSON", ("--seed",))
+    gen = _command(subs, "gen", "emit a problem JSON", seed)
     gen.add_argument("--family", choices=("quadratic", "logistic"),
-                     default=None)
-    gen.add_argument("--dim", type=int, default=None,
-                     help="sets both dimensions unless overridden")
-    gen.add_argument("--dim-x", type=int, default=None)
-    gen.add_argument("--dim-y", type=int, default=None)
-    gen.add_argument("--kappa", type=float, default=None)
-    gen.add_argument("--sigma", type=float, default=None)
-    gen.add_argument("--radius", type=float, default=None)
-    gen.add_argument("--hess-scale", type=float, default=None)
-    gen.add_argument("--rows", type=int, default=None,
-                     help="logistic family: dataset rows")
-    gen.add_argument("--reg", type=float, default=None)
-    gen.add_argument("--batch-size", type=int, default=None)
+                     default="quadratic", help="problem family")
+    gen.add_argument("--dim", type=int, default=5, help="dim of x and y")
+    gen.add_argument("--dim-x", type=int, help="dimension of x; None: --dim")
+    gen.add_argument("--dim-y", type=int, help="dimension of y; None: --dim")
+    gen.add_argument("--kappa", type=float, default=10.0,
+                     help="quadratic: condition number")
+    gen.add_argument("--sigma", type=float, default=0.0, help="lower noise")
+    gen.add_argument("--radius", type=float, default=0.0, help="upper noise")
+    gen.add_argument("--hess-scale", type=float, default=0.0,
+                     help="Hessian noise")
+    gen.add_argument("--rows", type=int,
+                     help="logistic: rows; None: 4 * dim_y")
+    gen.add_argument("--reg", type=float, default=1.0, help="logistic: mu")
+    gen.add_argument("--batch-size", type=int, default=4,
+                     help="logistic: minibatch rows")
 
-    run = _command(subs, "run", "run the single-loop method", ("--seed",))
-    run.add_argument("--problem", default=None, required=False)
-    run.add_argument("--K", type=int, default=None, dest="horizon")
-    run.add_argument("--stride", type=int, default=None)
-    run.add_argument("--alpha", type=float, default=None)
-    run.add_argument("--eta", type=float, default=None)
-    run.add_argument("--beta", type=float, default=None)
+    run = _command(subs, "run", "run the single-loop method", seed)
+    run.add_argument("--problem", help="problem JSON (required)")
+    run.add_argument("--K", type=int, default=1000, dest="horizon",
+                     help="iterations")
+    run.add_argument("--stride", type=int, help="None: max(1, K // 2048)")
+    for step in ("--alpha", "--eta", "--beta"):
+        run.add_argument(step, type=float,
+                         help="all three or none; None: automatic")
 
-    ver = _command(subs, "verify", "Monte-Carlo bound checks", ("--seed",))
-    ver.add_argument("--problem", default=None)
-    ver.add_argument("--all", action="store_true", default=None)
-    ver.add_argument("--lemma", default=None)
-    ver.add_argument("--K", type=int, default=None, dest="horizon")
-    ver.add_argument("--replications", type=int, default=None)
-    ver.add_argument("--checkpoints", default=None,
-                     help="comma-separated iteration indices")
-    ver.add_argument("--mc-seed", type=int, default=None)
+    ver = _command(subs, "verify", "Monte-Carlo bound checks", seed)
+    ver.add_argument("--problem", help="problem JSON (required)")
+    ver.add_argument("--all", action="store_true", help="every check")
+    ver.add_argument("--lemma", help="one lemma id; None: every check")
+    ver.add_argument("--K", type=int, dest="horizon",
+                     help="iterations; None: the last checkpoint")
+    ver.add_argument("--replications", type=int, default=500, help="branches")
+    ver.add_argument("--checkpoints", type=_int_list, default="1,5,20,100",
+                     help="iteration indices")
+    ver.add_argument("--mc-seed", type=int, default=0, help="branch seed")
 
-    for name in ("sweep", "compare"):
+    for name, algs in (("sweep", "ssaid"), ("compare", "ssaid,multiloop")):
         sw = _command(subs, name, f"{name} over a condition-number grid",
-                      ("--threads",))
-        sw.add_argument("--kappa-grid", default=None)
-        sw.add_argument("--seeds", default=None)
-        sw.add_argument("--epsilon", type=float, default=None)
-        sw.add_argument("--max-iters", type=int, default=None)
-        sw.add_argument("--algorithms", default=None)
-        sw.add_argument("--dim", type=int, default=None)
-        sw.add_argument("--sigma", type=float, default=None)
-        sw.add_argument("--problem-seed", type=int, default=None)
+                      {"--threads": (1, "worker threads")})
+        sw.add_argument("--kappa-grid", type=_float_list,
+                        default="2,10,50,250", help="condition numbers")
+        sw.add_argument("--seeds", type=_int_list, default="0,1,2,3,4",
+                        help="run seeds")
+        sw.add_argument("--epsilon", type=float, default=0.1,
+                        help="target running-average stationarity")
+        sw.add_argument("--max-iters", type=int, default=4_000_000,
+                        help="iteration cap")
+        sw.add_argument("--algorithms", type=_name_list, default=algs,
+                        help="ssaid, multiloop or multiloop:N:Q")
+        sw.add_argument("--dim", type=int, default=10, help="dim of x and y")
+        sw.add_argument("--sigma", type=float, default=1.0, help="lower noise")
+        sw.add_argument("--problem-seed", type=int, default=0,
+                        help="seed of the problems")
 
-    fit = _command(subs, "fit", "rate fit on a recorded trace CSV", ())
-    fit.add_argument("--trace", default=None)
-    fit.add_argument("--k-min", type=int, default=None)
-    fit.add_argument("--k-max", type=int, default=None)
+    fit = _command(subs, "fit", "rate fit on a recorded trace CSV", {})
+    fit.add_argument("--trace", help="trace CSV of `ssaid run` (required)")
+    fit.add_argument("--k-min", type=int, help="window start (required)")
+    fit.add_argument("--k-max", type=int, help="window end (required)")
     return parser
 
 
-class _Options:
-    """Flag resolution: explicit CLI value, then config-file value, then the
-    built-in default.  Config keys are the command's flag names with
-    underscores (``max_iters``); any other key is an error."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.cfg = {}
-        path = self.args.get("config")
-        if path is not None:
-            try:
-                loaded = json.loads(Path(path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise InvalidParameterError(
-                    f"cannot read config file {path}: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise InvalidParameterError("config file must hold a flat "
-                                            "JSON object")
-            unknown = sorted(set(loaded) - set(self.args) - {"command", "config"})
-            if unknown:
-                raise InvalidParameterError(
-                    f"config file keys {unknown} are not flags of "
-                    f"{self.args['command']!r}")
-            self.cfg = loaded
-
-    def get(self, key: str, default=None):
-        val = self.args.get(key)
-        if val is not None:
-            return val
-        if key in self.cfg:
-            return self.cfg[key]
-        return default
-
-    def require(self, key: str, flag: str):
-        val = self.get(key)
-        if val is None:
-            raise InvalidParameterError(f"missing required flag {flag}")
-        return val
+def _config_args(path) -> list:
+    """The flags of a --config file, as command-line tokens.  Each key of
+    its flat JSON object names a flag with underscores (``max_iters`` for
+    --max-iters); a list value is comma-joined, true is a bare switch, and
+    false or null adds nothing."""
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidParameterError(
+            f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise InvalidParameterError("config file must hold a flat JSON object")
+    if "config" in loaded:
+        raise InvalidParameterError("a config file cannot name --config")
+    tokens = []
+    for key, value in loaded.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _out_dir(opt: _Options) -> Path:
-    base = opt.get("out_dir")
-    if base is None:
-        base = os.environ.get("SSAID_OUT_DIR", ".")
-    path = Path(base)
+def _required(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise InvalidParameterError(
+            f"missing required flag --{name.replace('_', '-')}")
+    return value
+
+
+def _out_dir(args) -> Path:
+    path = Path(args.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -516,83 +535,51 @@ def _emit(path: Path, text: str):
     print(path)
 
 
-def _load_problem(opt: _Options):
-    path = opt.require("problem", "--problem")
+def _read(args, name: str) -> str:
+    """Text of the file that the flag ``name`` names."""
     try:
-        text = Path(path).read_text()
+        return Path(_required(args, name)).read_text()
     except OSError as exc:
-        raise InvalidParameterError(f"cannot read problem file: {exc}") from exc
-    return problem_from_json(text)
+        raise InvalidParameterError(f"cannot read {name} file: {exc}") from exc
 
 
-def _parse_int_list(text, flag: str):
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    try:
-        return tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError as exc:
-        raise InvalidParameterError(f"{flag} must be comma-separated "
-                                    f"integers, got {text!r}") from exc
-
-
-def _parse_float_list(text, flag: str):
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    try:
-        return tuple(float(p) for p in str(text).split(",") if p.strip())
-    except ValueError as exc:
-        raise InvalidParameterError(f"{flag} must be comma-separated "
-                                    f"numbers, got {text!r}") from exc
-
-
-def _cmd_gen(opt: _Options) -> int:
-    family = opt.get("family", "quadratic")
-    dim = opt.get("dim", 5)
-    dim_x = opt.get("dim_x", dim)
-    dim_y = opt.get("dim_y", dim)
-    seed = opt.get("seed", 0)
-    sigma = opt.get("sigma", 0.0)
-    radius = opt.get("radius", 0.0)
-    hess_scale = opt.get("hess_scale", 0.0)
+def _cmd_gen(args) -> int:
+    dim_x = args.dim if args.dim_x is None else args.dim_x
+    dim_y = args.dim if args.dim_y is None else args.dim_y
     noise = None
-    if sigma or radius or hess_scale:
-        noise = NoiseModel(sigma=sigma, radius=radius, hess_scale=hess_scale)
-    if family == "quadratic":
-        problem = make_quadratic_problem(dim_x, dim_y,
-                                         opt.get("kappa", 10.0),
-                                         noise=noise, seed=seed)
+    if args.sigma or args.radius or args.hess_scale:
+        noise = NoiseModel(sigma=args.sigma, radius=args.radius,
+                           hess_scale=args.hess_scale)
+    if args.family == "quadratic":
+        problem = make_quadratic_problem(dim_x, dim_y, args.kappa,
+                                         noise=noise, seed=args.seed)
     else:
-        problem = make_logistic_problem(dim_x, dim_y,
-                                        opt.get("rows", 4 * dim_y),
-                                        seed=seed,
-                                        reg=opt.get("reg", 1.0),
-                                        batch_size=opt.get("batch_size", 4),
-                                        noise=noise)
+        problem = make_logistic_problem(
+            dim_x, dim_y, 4 * dim_y if args.rows is None else args.rows,
+            seed=args.seed, reg=args.reg, batch_size=args.batch_size,
+            noise=noise)
     text = problem_to_json(problem)
-    _emit(_out_dir(opt) / f"problem_{problem_hash(problem)[:12]}.json", text)
+    _emit(_out_dir(args) / f"problem_{problem_hash(problem)[:12]}.json", text)
     return 0
 
 
-def _cmd_run(opt: _Options) -> int:
-    problem = _load_problem(opt)
-    horizon = int(opt.get("horizon", 1000))
-    seed = int(opt.get("seed", 0))
-    stride = int(opt.get("stride", max(1, horizon // _SWEEP_CHECKS)))
-    explicit = [opt.get("alpha"), opt.get("eta"), opt.get("beta")]
-    if any(v is not None for v in explicit):
-        if any(v is None for v in explicit):
+def _cmd_run(args) -> int:
+    problem = problem_from_json(_read(args, "problem"))
+    horizon, seed = args.horizon, args.seed
+    stride = (max(1, horizon // _SWEEP_CHECKS) if args.stride is None
+              else args.stride)
+    explicit = [args.alpha, args.eta, args.beta]
+    steps = "auto"
+    if explicit != [None] * 3:
+        if None in explicit:
             raise InvalidParameterError(
                 "--alpha, --eta, --beta must be given together")
-        steps = StepSizes(alpha=float(explicit[0]), eta=float(explicit[1]),
-                          beta=float(explicit[2]),
-                          horizon_k=max(horizon, 1))
-    else:
-        steps = "auto"
+        steps = StepSizes(*explicit, horizon_k=max(horizon, 1))
     config = RunConfig(seed=seed, horizon=horizon, steps=steps, stride=stride)
     started = time.perf_counter()
     trace = run_ssaid(problem, config)
     elapsed = time.perf_counter() - started
-    out = _out_dir(opt)
+    out = _out_dir(args)
     tag = f"{problem_hash(problem)[:10]}_seed{seed}_K{horizon}"
     _emit(out / f"trace_{tag}.csv", trace.csv_text())
     constants = problem.constants
@@ -624,20 +611,17 @@ def _cmd_run(opt: _Options) -> int:
     return 0
 
 
-def _cmd_verify(opt: _Options) -> int:
-    problem = _load_problem(opt)
-    checkpoints = _parse_int_list(opt.get("checkpoints", "1,5,20,100"),
-                                  "--checkpoints")
-    mc = MCConfig(replications=int(opt.get("replications", 500)),
-                  checkpoints=checkpoints,
-                  base_seed=int(opt.get("mc_seed", 0)))
-    horizon = int(opt.get("horizon", max(checkpoints)))
-    config = RunConfig(seed=int(opt.get("seed", 0)), horizon=horizon)
-    lemma = None if opt.get("all") else opt.get("lemma")
+def _cmd_verify(args) -> int:
+    problem = problem_from_json(_read(args, "problem"))
+    mc = MCConfig(replications=args.replications,
+                  checkpoints=args.checkpoints, base_seed=args.mc_seed)
+    horizon = max(args.checkpoints) if args.horizon is None else args.horizon
+    config = RunConfig(seed=args.seed, horizon=horizon)
+    lemma = None if args.all else args.lemma
     reports = run_lemma_suite(problem, config, mc, lemma)
     name = "all" if lemma is None else reports[0].lemma_id
     stem = f"lemma_{name}_{problem_hash(problem)[:10]}"
-    out = _out_dir(opt)
+    out = _out_dir(args)
     doc = {"schema": "ssaid-lemma-v1",
            "problem_sha256": problem_hash(problem),
            "mc": mc.to_dict(),
@@ -654,72 +638,51 @@ def _cmd_verify(opt: _Options) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
-def _sweep_spec(opt: _Options, default_algs) -> SweepSpec:
-    dim = int(opt.get("dim", 10))
-    algs = opt.get("algorithms", default_algs)
-    if isinstance(algs, str):
-        algs = tuple(a.strip() for a in algs.split(",") if a.strip())
-    return SweepSpec(
-        kappa_grid=_parse_float_list(opt.get("kappa_grid", "2,10,50,250"),
-                                     "--kappa-grid"),
-        seeds=_parse_int_list(opt.get("seeds", "0,1,2,3,4"), "--seeds"),
-        epsilon=float(opt.get("epsilon", 0.1)),
-        max_iters=int(opt.get("max_iters", 4_000_000)),
-        algorithms=tuple(algs),
-        dim_x=dim, dim_y=dim,
-        sigma=float(opt.get("sigma", 1.0)),
-        problem_seed=int(opt.get("problem_seed", 0)))
-
-
-def _cmd_sweep(opt: _Options, compare: bool) -> int:
-    spec = _sweep_spec(opt, default_algs=("ssaid", "multiloop")
-                       if compare else ("ssaid",))
-    threads = int(opt.get("threads", 1))
-    if compare:
-        result = compare_algorithms(spec, threads=threads)
-    else:
-        result = kappa_sweep(spec, threads=threads)
-    out = _out_dir(opt)
-    name = "compare" if compare else "sweep"
+def _cmd_sweep(args) -> int:
+    spec = SweepSpec(kappa_grid=args.kappa_grid, seeds=args.seeds,
+                     epsilon=args.epsilon, max_iters=args.max_iters,
+                     algorithms=args.algorithms, dim_x=args.dim,
+                     dim_y=args.dim, sigma=args.sigma,
+                     problem_seed=args.problem_seed)
+    name = args.command
+    run = compare_algorithms if name == "compare" else kappa_sweep
+    result = run(spec, threads=args.threads)
+    out = _out_dir(args)
     _emit(out / f"{name}.csv", sweep_csv(result))
     _emit(out / f"{name}_summary.json", sweep_summary_json(result, spec))
     return 0
 
 
-def _cmd_fit(opt: _Options) -> int:
-    path = opt.require("trace", "--trace")
-    trace = IterationTrace.from_csv(path)
-    window = (int(opt.require("k_min", "--k-min")),
-              int(opt.require("k_max", "--k-max")))
-    fit = rate_fit(trace, window)
-    out = _out_dir(opt)
-    stem = Path(path).stem
+def _cmd_fit(args) -> int:
+    trace = IterationTrace.from_csv_text(_read(args, "trace"))
+    fit = rate_fit(trace, (_required(args, "k_min"), _required(args, "k_max")))
+    out = _out_dir(args)
+    stem = Path(args.trace).stem
     _emit(out / f"fit_{stem}.json",
           json.dumps(fit.to_dict(), sort_keys=True, indent=2))
     print(f"slope={fit.slope!r} r_squared={fit.r_squared!r}")
     return 0
 
 
+_COMMANDS = {"gen": _cmd_gen, "run": _cmd_run, "verify": _cmd_verify,
+             "sweep": _cmd_sweep, "compare": _cmd_sweep, "fit": _cmd_fit}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return 0 if exc.code == 0 else 1
-    try:
-        opt = _Options(args)
-        if args.command == "gen":
-            return _cmd_gen(opt)
-        if args.command == "run":
-            return _cmd_run(opt)
-        if args.command == "verify":
-            return _cmd_verify(opt)
-        if args.command == "sweep":
-            return _cmd_sweep(opt, compare=False)
-        if args.command == "compare":
-            return _cmd_sweep(opt, compare=True)
-        return _cmd_fit(opt)
+        try:
+            args = parser.parse_args(argv)
+            if args.config is not None:
+                # the file's flags go first, so explicit flags win: argparse
+                # keeps the last value of a flag
+                args = parser.parse_args(argv[:1] + _config_args(args.config)
+                                         + argv[1:])
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help
+            return 0 if exc.code == 0 else 1
+        return _COMMANDS[args.command](args)
     except (InvalidParameterError, InvalidProblemError,
             InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

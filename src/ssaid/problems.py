@@ -699,49 +699,44 @@ class LogisticBilevelProblem(_BilevelProblemBase):
 
     # --- sampled oracles ------------------------------------------------
 
-    def _batch_grad(self, x, y, idx):
-        a = self.features[idx]
-        d = self.cross_rows[idx]
-        scale = self.n_rows / self.batch_size
+    def _minibatch(self, gen, reps):
+        """Rows A_B, D_B of one minibatch draw (``reps`` draws stacked, if
+        given) and the n_rows/batch_size scale that keeps it unbiased."""
+        shape = (self.batch_size,) if reps is None else (reps, self.batch_size)
+        idx = gen.integers(0, self.n_rows, size=shape)
+        return self.features[idx], self.cross_rows[idx], self.n_rows / self.batch_size
+
+    @staticmethod
+    def _batch_curvature_times(a, d, x, y, v):
+        # w * (A_B v) with w = s(1 - s) the curvature at each batch margin
+        s = _sigmoid(np.einsum("...bn,...n->...b", a, y) - d @ x)
+        w = s * (1.0 - s)
+        return w * np.einsum("...bn,...n->...b", a, v)
+
+    def sample_lower_grad(self, x, y, gen, reps=None):
+        a, d, scale = self._minibatch(gen, reps)
+        if reps is not None and y.ndim == 1:
+            y = np.broadcast_to(y, (reps, self.dim_y))
         t = np.einsum("...bn,...n->...b", a, y) - d @ x
         return self.reg * y + scale * np.einsum("...b,...bn->...n", _sigmoid(t), a)
 
-    def sample_lower_grad(self, x, y, gen, reps=None):
-        shape = (self.batch_size,) if reps is None else (reps, self.batch_size)
-        idx = gen.integers(0, self.n_rows, size=shape)
-        if reps is not None and y.ndim == 1:
-            y = np.broadcast_to(y, (reps, self.dim_y))
-        return self._batch_grad(x, y, idx)
-
     def sample_hess_operator(self, x, gen, reps=None):
-        shape = (self.batch_size,) if reps is None else (reps, self.batch_size)
-        idx = gen.integers(0, self.n_rows, size=shape)
-        a = self.features[idx]
-        d = self.cross_rows[idx]
-        scale = self.n_rows / self.batch_size
+        a, d, scale = self._minibatch(gen, reps)
 
         def hvp(y, v):
-            t = np.einsum("...bn,...n->...b", a, y) - d @ x
-            s = _sigmoid(t)
-            w = s * (1.0 - s)
             return self.reg * v + scale * np.einsum(
-                "...b,...bn->...n", w * np.einsum("...bn,...n->...b", a, v), a)
+                "...b,...bn->...n", self._batch_curvature_times(a, d, x, y, v),
+                a)
 
         return hvp
 
     def sample_cross_operator(self, x, gen, reps=None):
-        shape = (self.batch_size,) if reps is None else (reps, self.batch_size)
-        idx = gen.integers(0, self.n_rows, size=shape)
-        a = self.features[idx]
-        d = self.cross_rows[idx]
-        scale = self.n_rows / self.batch_size
+        a, d, scale = self._minibatch(gen, reps)
 
         def jvp(y, v):
-            t = np.einsum("...bn,...n->...b", a, y) - d @ x
-            s = _sigmoid(t)
-            w = s * (1.0 - s)
             return -scale * np.einsum(
-                "...b,...bm->...m", w * np.einsum("...bn,...n->...b", a, v), d)
+                "...b,...bm->...m", self._batch_curvature_times(a, d, x, y, v),
+                d)
 
         return jvp
 

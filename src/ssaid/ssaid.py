@@ -41,7 +41,6 @@ __all__ = [
     "ssaid_step",
     "run_ssaid",
     "iterate",
-    "drive",
     "resolve_step_sizes",
     "initial_vectors",
 ]
@@ -246,11 +245,6 @@ class IterationTrace:
                          int(parts[7]), int(parts[8])))
         return cls.from_rows(rows)
 
-    @classmethod
-    def from_csv(cls, path) -> "IterationTrace":
-        with open(path) as fh:
-            return cls.from_csv_text(fh.read())
-
 
 # ---------------------------------------------------------------------------
 # run loop
@@ -298,27 +292,15 @@ def _reference_rows(problem, buffered, counts):
             for k, *vals in zip(ks, *(c.tolist() for c in cols))]
 
 
-def drive(step, state, horizon: int, stride: int, on_row):
-    """Advance ``state`` by ``horizon`` calls of ``step``; return the last
-    state.  After every stride-th and the final step, ``on_row(k, x_before,
-    state)`` sees the iteration index, the upper iterate the step started
-    from and the new state; a true return stops the run there."""
-    for k in range(horizon):
-        x_before = state.x
-        state = step(state)
-        if (k % stride == 0 or k == horizon - 1) and on_row(k, x_before, state):
-            break
-    return state
-
-
 def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
                   counts) -> IterationTrace:
-    """Drive ``step`` for ``config.horizon`` iterations with a reference row
-    at every stride-th and the final one; ``counts`` is the per-iteration
-    (gradient, matrix-vector) oracle bill.  Horizon 0 records the initial
-    point.  Rows are buffered and solved in blocks of ``_SOLVE_BLOCK``; a
-    DivergenceError leaves carrying every row recorded before it."""
-    steps = state.steps
+    """Advance ``state`` by ``config.horizon`` calls of ``step``, with a
+    reference row after every stride-th and the final step; ``counts`` is
+    the per-iteration (gradient, matrix-vector) oracle bill.  Horizon 0
+    records the initial point.  Rows are buffered and solved in blocks of
+    ``_SOLVE_BLOCK``; a DivergenceError leaves carrying every row recorded
+    before it."""
+    steps, horizon, stride = state.steps, config.horizon, config.stride
     rows, pending = [], []
 
     def flush(bill=counts):
@@ -326,13 +308,14 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
             rows.extend(_reference_rows(problem, pending, bill))
             pending.clear()
 
-    def on_row(k, x_before, st):
-        pending.append((k, x_before, st))
-        if len(pending) == _SOLVE_BLOCK:
-            flush()
-
     try:
-        state = drive(step, state, config.horizon, config.stride, on_row)
+        for k in range(horizon):
+            x_before = state.x
+            state = step(state)
+            if k % stride == 0 or k == horizon - 1:
+                pending.append((k, x_before, state))
+                if len(pending) == _SOLVE_BLOCK:
+                    flush()
     except DivergenceError as err:
         flush()
         err.trace = IterationTrace.from_rows(rows, final_state=err.state,

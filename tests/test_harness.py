@@ -4,13 +4,15 @@ files)."""
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import InsufficientDataError, InvalidParameterError
-from ssaid.harness import (RateFit, SweepSpec, _run_to_epsilon,
+from ssaid.harness import (RateFit, SweepSpec, _build_parser, _run_to_epsilon,
                            compare_algorithms, kappa_sweep, main,
                            parse_algorithm, rate_fit, sweep_csv,
                            sweep_summary_json)
@@ -270,7 +272,7 @@ def test_cli_gen_run_round_trip(tmp_path):
     assert meta["schema"] == "ssaid-run-v1"
     assert meta["config"]["horizon"] == 300
     assert meta["final"]["gc_count"] == 900
-    trace = IterationTrace.from_csv(traces[0])
+    trace = IterationTrace.from_csv_text(traces[0].read_text())
     assert trace.k[-1] == 299
 
 
@@ -296,6 +298,12 @@ def test_cli_invalid_usage_exits_one(tmp_path):
     assert run_cli("nosuchcommand") == 1
     assert run_cli("verify", "--problem", "missing.json") == 1
     assert run_cli("fit", "--k-min", "1", "--k-max", "10") == 1
+
+
+def test_cli_unreadable_trace_exits_one(tmp_path, capsys):
+    assert run_cli("fit", "--trace", str(tmp_path / "missing.csv"),
+                   "--k-min", "1", "--k-max", "10") == 1
+    assert "error: cannot read trace file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -484,3 +492,95 @@ def test_cli_config_key_the_command_lacks_exits_one(tmp_path, capsys):
     assert run_cli("gen", "--config", str(cfg), *out) == 0
     doc = json.loads(next((tmp_path / "out").glob("problem_*.json")).read_text())
     assert doc["dim_x"] == doc["dim_y"] == 4
+
+
+@pytest.mark.parametrize("config", [
+    {"family": "cubic"}, {"seed": "x"}, {"dim": 2.5}, {"config": "c.json"},
+], ids=["choice", "int", "float-for-int", "config-key"])
+def test_cli_config_values_meet_the_flag_types(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("gen", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/problem_*.json"))
+
+
+def test_cli_run_config_key_is_the_flag_name(tmp_path):
+    ppath = gen_problem(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 10, "problem": str(ppath)}))
+    assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+    meta = json.loads(next(tmp_path.glob("run_*.json")).read_text())
+    assert meta["config"]["horizon"] == 10
+
+
+SWEEP_FLAGS = ("--kappa-grid", "1,2", "--seeds", "0,1", "--epsilon", "1e6",
+               "--max-iters", "10", "--dim", "3")
+
+
+def test_cli_config_lists_equal_comma_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa_grid": [1, 2.0], "seeds": [0, 1],
+                               "epsilon": 1e6, "max_iters": 10, "dim": 4}))
+    # --dim comes after the file's value, so it wins
+    assert run_cli("sweep", "--config", str(cfg), "--dim", "3",
+                   "--out-dir", str(tmp_path / "a")) == 0
+    assert run_cli("sweep", *SWEEP_FLAGS, "--out-dir", str(tmp_path / "b")) == 0
+    for name in ("sweep.csv", "sweep_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    assert run_cli("sweep", "--config", str(cfg), "--seeds", "5",
+                   "--out-dir", str(tmp_path / "c")) == 0
+    doc = json.loads((tmp_path / "c" / "sweep_summary.json").read_text())
+    assert doc["spec"]["seeds"] == [5]
+
+
+def test_cli_config_true_is_a_switch(tmp_path):
+    ppath = gen_problem(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"all": True, "lemma": None, "replications": 20,
+                               "checkpoints": [1, 3], "K": 4}))
+    assert run_cli("verify", "--problem", str(ppath), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "a")) == 0
+    assert run_cli("verify", "--problem", str(ppath), "--all", *TINY_VERIFY,
+                   "--out-dir", str(tmp_path / "b")) == 0
+    [a] = (tmp_path / "a").glob("lemma_all_*.json")
+    assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
+    # false adds nothing: without --all or --lemma every check runs too
+    cfg.write_text(json.dumps({"all": False, "replications": 20,
+                               "checkpoints": "1,3", "K": 4}))
+    assert run_cli("verify", "--problem", str(ppath), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "c")) == 0
+    assert (tmp_path / "c" / a.name).read_bytes() == a.read_bytes()
+
+
+def test_cli_help_prints_the_defaults(capsys):
+    assert run_cli("sweep", "--help") == 0
+    out = capsys.readouterr().out
+    assert "(default: 2,10,50,250)" in out
+    assert "(default: 0,1,2,3,4)" in out
+
+
+def readme_commands():
+    """Each `ssaid ...` line of README's command-line block as an argument
+    list, with continuation lines joined and <hash> filled in."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").replace("<hash>", "0123456789ab")
+    return [shlex.split(line)[1:] for line in lines.splitlines()
+            if line.startswith("ssaid ")]
+
+
+def test_readme_commands_cover_every_command():
+    assert {argv[0] for argv in readme_commands()} == \
+        {"gen", "run", "verify", "sweep", "compare", "fit"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: a[0])
+def test_readme_command_parses(argv, capsys):
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {capsys.readouterr().err}")
+    assert args.command == argv[0]

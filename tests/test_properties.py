@@ -15,6 +15,7 @@ from ssaid import ssaid as core  # noqa: E402
 from ssaid import streams as streams_mod  # noqa: E402
 from ssaid.baselines import MultiLoopConfig, run_multiloop  # noqa: E402
 from ssaid.errors import ConvergenceFailureError, DivergenceError  # noqa: E402
+from ssaid.hypergradient import StepSizes  # noqa: E402
 from ssaid.problems import (_SOLVE_BLOCK, REFERENCE_TOL,  # noqa: E402
                             NoiseModel, make_logistic_problem,
                             make_quadratic_problem, problem_from_json,
@@ -129,6 +130,27 @@ def test_history_replay_equals_runner_iterates(data, problem, seed, horizon):
         assert np.array_equal(hist.xs[t], final.x)
         assert np.array_equal(hist.ys[t], final.y_hat)
         assert np.array_equal(hist.vs[t], final.v_hat)
+
+
+@given(data=st.data(), problem=_problems(), seed=st.integers(0, 2**32 - 1),
+       horizon=st.integers(1, 40))
+def test_v_bound_holds_on_every_step(data, problem, seed, horizon):
+    # with eta <= 1/L each sampled adjoint step contracts v by 1 - eta mu
+    # and adds at most eta M, so ||v_k|| <= ||v0|| + M/mu on every step
+    c = problem.constants
+    v0 = data.draw(arrays(np.float64, problem.dim_y,
+                          elements=st.floats(-5.0, 5.0)), label="v0")
+    eta = data.draw(st.floats(0.05, 1.0), label="eta * L") / c.lipschitz_L
+    alpha = data.draw(st.floats(0.05, 1.0), label="alpha / eta") * eta
+    auto = resolve_step_sizes(problem, RunConfig(seed=seed, horizon=horizon),
+                              v0)
+    steps = StepSizes(alpha=alpha, eta=eta, beta=auto.beta,
+                      horizon_k=horizon)
+    trace = run_ssaid(problem, RunConfig(seed=seed, horizon=horizon,
+                                         steps=steps, stride=1, v0=v0))
+    assert trace.n_rows == horizon
+    cap = float(np.linalg.norm(v0)) + c.lipschitz_M / c.mu
+    assert float(trace.v_norm.max()) <= cap + 1e-9
 
 
 _TAGS = st.sampled_from([TAG_LOWER_GRAD, TAG_UPPER_GRAD, TAG_CROSS_OP,
