@@ -191,6 +191,9 @@ class SweepSpec:
         algs = tuple(str(a) for a in self.algorithms)
         if not algs:
             raise InvalidParameterError("algorithms must be nonempty")
+        if len(set(algs)) < len(algs):
+            raise InvalidParameterError(
+                f"algorithms must be distinct, got {algs}")
         for a in algs:
             parse_algorithm(a, 1.0)
         object.__setattr__(self, "algorithms", algs)
@@ -389,15 +392,15 @@ def sweep_summary_json(result: SweepResult, spec: SweepSpec) -> str:
 
 
 def _command(subs, name, summary, extra):
-    """Parser of one command with --out-dir, --config and the integer flags
-    in ``extra``, a {flag: (default, help)} map (--seed for the single-run
-    commands, --threads for the sweeps).  No prefix matching: `sweep --seed`
+    """Parser of one command with --out-dir, --config and the flags in
+    ``extra``, a {flag: (type, default, help)} map: --seed for the single-run
+    commands, --threads for the sweeps.  No prefix matching: `sweep --seed`
     must not pass as --seeds."""
     sub = subs.add_parser(
         name, help=summary, allow_abbrev=False,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    for flag, (default, text) in extra.items():
-        sub.add_argument(flag, type=int, default=default, help=text)
+    for flag, (kind, default, text) in extra.items():
+        sub.add_argument(flag, type=kind, default=default, help=text)
     sub.add_argument("--out-dir", default=os.environ.get("SSAID_OUT_DIR", "."),
                      help="output directory, SSAID_OUT_DIR if set")
     sub.add_argument("--config",
@@ -413,7 +416,16 @@ def _list_type(kind):
     return parse
 
 
+def _seed(text) -> int:
+    """argparse type of every seed flag: an integer >= 0, as numpy takes."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {text}")
+    return int(text)
+
+
+_seed.__name__ = "seed"   # argparse's error names it
 _int_list = _list_type(int)
+_seed_list = _list_type(_seed)
 _float_list = _list_type(float)
 _name_list = _list_type(str.strip)
 
@@ -425,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ssaid",
         description="single-loop stochastic bilevel optimization toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    seed = {"--seed": (0, "random seed")}
+    seed = {"--seed": (_seed, 0, "random seed")}
 
     gen = _command(subs, "gen", "emit a problem JSON", seed)
     gen.add_argument("--family", choices=("quadratic", "logistic"),
@@ -463,14 +475,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--replications", type=int, default=500, help="branches")
     ver.add_argument("--checkpoints", type=_int_list, default="1,5,20,100",
                      help="iteration indices")
-    ver.add_argument("--mc-seed", type=int, default=0, help="branch seed")
+    ver.add_argument("--mc-seed", type=_seed, default=0, help="branch seed")
 
     for name, algs in (("sweep", "ssaid"), ("compare", "ssaid,multiloop")):
         sw = _command(subs, name, f"{name} over a condition-number grid",
-                      {"--threads": (1, "worker threads")})
+                      {"--threads": (int, 1, "worker threads")})
         sw.add_argument("--kappa-grid", type=_float_list,
                         default="2,10,50,250", help="condition numbers")
-        sw.add_argument("--seeds", type=_int_list, default="0,1,2,3,4",
+        sw.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4",
                         help="run seeds")
         sw.add_argument("--epsilon", type=float, default=0.1,
                         help="target running-average stationarity")
@@ -480,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ssaid, multiloop or multiloop:N:Q")
         sw.add_argument("--dim", type=int, default=10, help="dim of x and y")
         sw.add_argument("--sigma", type=float, default=1.0, help="lower noise")
-        sw.add_argument("--problem-seed", type=int, default=0,
+        sw.add_argument("--problem-seed", type=_seed, default=0,
                         help="seed of the problems")
 
     fit = _command(subs, "fit", "rate fit on a recorded trace CSV", {})
@@ -597,14 +609,10 @@ def _cmd_run(args) -> int:
         "c_beta": derived.c_beta(constants, trace.steps.alpha,
                                  trace.steps.beta),
         "rows": int(trace.n_rows),
-        "final": {
-            "k": int(trace.k[-1]),
-            "grad_phi_sq": float(trace.grad_phi_sq[-1]),
-            "y_err": float(trace.y_err[-1]),
-            "v_err": float(trace.v_err[-1]),
-            "gc_count": int(trace.gc_count[-1]),
-            "mv_count": int(trace.mv_count[-1]),
-        },
+        # the last trace row's values, each of its column's type
+        "final": {name: getattr(trace, name)[-1].item() for name in
+                  ("k", "grad_phi_sq", "y_err", "v_err", "gc_count",
+                   "mv_count")},
     }
     _emit(out / f"run_{tag}.json", json.dumps(meta, sort_keys=True, indent=2))
     print(f"wall_seconds={elapsed:.3f}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -36,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     InvalidProblemError,
 )
+from .streams import TAG_CROSS_OP, TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD
 
 __all__ = [
     "ProblemConstants",
@@ -60,6 +61,14 @@ REFERENCE_TOL = 1e-12
 
 def _finite(*vals) -> bool:
     return all(np.isfinite(v) for v in vals)
+
+
+def _fields_dict(part) -> dict:
+    """Every dataclass field of ``part``, the JSON form of constants, noise
+    and upper objectives: arrays as lists, numbers as floats."""
+    values = {f.name: getattr(part, f.name) for f in fields(part)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else float(v)
+            for name, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -95,20 +104,11 @@ class ProblemConstants:
         return self.lipschitz_L / self.mu
 
     def to_dict(self) -> dict:
-        return {
-            "mu": float(self.mu),
-            "lipschitz_L": float(self.lipschitz_L),
-            "rho": float(self.rho),
-            "lipschitz_M": float(self.lipschitz_M),
-            "sigma": float(self.sigma),
-            "tau": float(self.tau),
-            "kappa": float(self.kappa),
-        }
+        return {**_fields_dict(self), "kappa": float(self.kappa)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemConstants":
-        return cls(mu=d["mu"], lipschitz_L=d["lipschitz_L"], rho=d["rho"],
-                   lipschitz_M=d["lipschitz_M"], sigma=d["sigma"], tau=d["tau"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ class NoiseModel:
             raise InvalidParameterError("noise parameters must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"sigma": float(self.sigma), "radius": float(self.radius),
-                "hess_scale": float(self.hess_scale)}
+        return _fields_dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +200,7 @@ class PseudoHuberCosineUpper:
         return max(1.0, self.cos_amp * self.cos_freq ** 2)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "target": self.target.tolist(),
-                "cos_amp": float(self.cos_amp), "cos_freq": float(self.cos_freq),
-                "huber_delta": float(self.huber_delta)}
+        return {"kind": self.kind, **_fields_dict(self)}
 
 
 @dataclass(frozen=True)
@@ -248,20 +245,20 @@ class PlainQuadraticUpper:
         return max(1.0, self.x_weight)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "target": self.target.tolist(),
-                "x_weight": float(self.x_weight)}
+        return {"kind": self.kind, **_fields_dict(self)}
+
+
+_UPPERS = {cls.kind: cls
+           for cls in (PseudoHuberCosineUpper, PlainQuadraticUpper)}
 
 
 def _upper_from_dict(d: dict):
+    """The upper objective of a ``to_dict``, from its class's fields."""
     kind = d.get("kind")
-    if kind == "pseudo_huber_cosine":
-        return PseudoHuberCosineUpper(target=np.asarray(d["target"], dtype=float),
-                                      cos_amp=d["cos_amp"], cos_freq=d["cos_freq"],
-                                      huber_delta=d["huber_delta"])
-    if kind == "plain_quadratic":
-        return PlainQuadraticUpper(target=np.asarray(d["target"], dtype=float),
-                                   x_weight=d["x_weight"])
-    raise InvalidProblemError(f"unknown upper objective kind: {kind!r}")
+    cls = _UPPERS.get(kind)
+    if cls is None:
+        raise InvalidProblemError(f"unknown upper objective kind: {kind!r}")
+    return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +291,26 @@ def _sphere_noise(gen: np.random.Generator, dim: int, radius: float, reps):
 class _BilevelProblemBase:
     """Shared behavior; concrete families fill in the mean oracles."""
 
-    @property
-    def stochastic_tags(self) -> frozenset:
-        """Oracle tags that actually consume randomness for this instance.
-
-        Hot loops skip stream positioning for the other tags; the sample_*
-        methods never touch their generator when the matching noise scale is
-        zero, so skipping keeps draws byte-identical.
-        """
-        return self._stochastic_tags
+    def _finish(self, tags):
+        """The end of construction: check the stored constants against
+        recomputed ones, or fill them in, and set ``stochastic_tags``, the
+        oracle tags that consume randomness here: ``tags``, plus the
+        upper-gradient tag under upper noise.  Hot loops skip stream
+        positioning for the other tags; the sample_* methods never touch
+        their generator when the matching noise scale is zero, so skipping
+        keeps draws byte-identical."""
+        recomputed = self._compute_constants()
+        if self.constants is None:
+            self.constants = recomputed
+        for f in fields(recomputed):
+            a, b = getattr(self.constants, f.name), getattr(recomputed, f.name)
+            close = math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-9
+            if a != b and not close:
+                raise InvalidProblemError(
+                    f"stored constant {f.name}={a} disagrees with recomputed {b}")
+        if self.noise.radius > 0.0:
+            tags = tags | {TAG_UPPER_GRAD}
+        self.stochastic_tags = frozenset(tags)
 
     # --- sampled oracles ------------------------------------------------
 
@@ -364,11 +372,12 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
             raise InvalidProblemError("coupling must be (dim_y, dim_x)")
         if self.offset.shape != (n,):
             raise InvalidProblemError("offset must be a dim_y vector")
+        if self.hess_noise_dir is not None:
+            self.hess_noise_dir = np.asarray(self.hess_noise_dir, dtype=float)
         if self.noise.hess_scale > 0.0:
             if self.hess_noise_dir is None:
                 raise InvalidProblemError(
                     "hess_scale > 0 requires a hess_noise_dir matrix")
-            self.hess_noise_dir = np.asarray(self.hess_noise_dir, dtype=float)
             if self.hess_noise_dir.shape != (n, n):
                 raise InvalidProblemError("hess_noise_dir must match hess shape")
         try:
@@ -377,20 +386,10 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
             raise InvalidProblemError("hess is not positive definite") from exc
         if np.linalg.eigvalsh(self.hess)[0] <= 0:
             raise InvalidProblemError("hess is not positive definite")
-        recomputed = self._compute_constants()
-        if self.constants is None:
-            self.constants = recomputed
-        else:
-            _check_constants_match(self.constants, recomputed)
-        from .streams import TAG_HESS_OP, TAG_LOWER_GRAD, TAG_UPPER_GRAD
-        tags = set()
-        if self.noise.sigma > 0.0:
-            tags.add(TAG_LOWER_GRAD)
-        if self.noise.radius > 0.0:
-            tags.add(TAG_UPPER_GRAD)
+        tags = {TAG_LOWER_GRAD} if self.noise.sigma > 0.0 else set()
         if self.noise.hess_scale > 0.0:
             tags.add(TAG_HESS_OP)
-        self._stochastic_tags = frozenset(tags)
+        self._finish(tags)
         self._noise_scale = np.array(self.noise.sigma / math.sqrt(n))  # 0-d
 
     # dims
@@ -482,16 +481,6 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         return lambda y, v: -_row_gemv(v, self.coupling)
 
 
-def _check_constants_match(stored: ProblemConstants, recomputed: ProblemConstants):
-    for name in ("mu", "lipschitz_L", "rho", "lipschitz_M", "sigma", "tau"):
-        a, b = getattr(stored, name), getattr(recomputed, name)
-        if a == b:
-            continue
-        if not math.isfinite(a) or not math.isfinite(b) or abs(a - b) > 1e-9:
-            raise InvalidProblemError(
-                f"stored constant {name}={a} disagrees with recomputed {b}")
-
-
 # ---------------------------------------------------------------------------
 # logistic family
 
@@ -557,17 +546,7 @@ class LogisticBilevelProblem(_BilevelProblemBase):
             raise InvalidParameterError(
                 "logistic lower-level noise comes from minibatching; "
                 "sigma and hess_scale must stay 0")
-        recomputed = self._compute_constants()
-        if self.constants is None:
-            self.constants = recomputed
-        else:
-            _check_constants_match(self.constants, recomputed)
-        from .streams import (TAG_CROSS_OP, TAG_HESS_OP, TAG_LOWER_GRAD,
-                              TAG_UPPER_GRAD)
-        tags = {TAG_LOWER_GRAD, TAG_HESS_OP, TAG_CROSS_OP}
-        if self.noise.radius > 0.0:
-            tags.add(TAG_UPPER_GRAD)
-        self._stochastic_tags = frozenset(tags)
+        self._finish({TAG_LOWER_GRAD, TAG_HESS_OP, TAG_CROSS_OP})
 
     @property
     def dim_x(self) -> int:
@@ -871,68 +850,59 @@ def reference_solution(problem, x: np.ndarray) -> ReferenceSolution:
 # serialization
 
 
+_FAMILIES = {cls.family: cls
+             for cls in (QuadraticBilevelProblem, LogisticBilevelProblem)}
+
+# the fields written as their to_dict(), and the reader of each
+_PART_READERS = {"upper": _upper_from_dict,
+                 "noise": lambda d: NoiseModel(**d),
+                 "constants": ProblemConstants.from_dict}
+
+
 def problem_to_json(problem) -> str:
-    if problem.family == "quadratic":
-        doc = {
-            "family": "quadratic",
-            "dim_x": problem.dim_x,
-            "dim_y": problem.dim_y,
-            "hess": problem.hess.tolist(),
-            "coupling": problem.coupling.tolist(),
-            "offset": problem.offset.tolist(),
-            "upper": problem.upper.to_dict(),
-            "noise": problem.noise.to_dict(),
-            "hess_noise_dir": (None if problem.hess_noise_dir is None
-                               else problem.hess_noise_dir.tolist()),
-            "constants": problem.constants.to_dict(),
-            "seed": problem.seed,
-        }
-    elif problem.family == "logistic":
-        doc = {
-            "family": "logistic",
-            "dim_x": problem.dim_x,
-            "dim_y": problem.dim_y,
-            "features": problem.features.tolist(),
-            "cross_rows": problem.cross_rows.tolist(),
-            "reg": problem.reg,
-            "batch_size": problem.batch_size,
-            "adjoint_method": problem.adjoint_method,
-            "upper": problem.upper.to_dict(),
-            "noise": problem.noise.to_dict(),
-            "constants": problem.constants.to_dict(),
-            "seed": problem.seed,
-        }
-    else:
-        raise InvalidProblemError(f"cannot serialize family {problem.family!r}")
+    """The problem's family, its dimensions and every field of its class:
+    arrays as nested lists, the fields in ``_PART_READERS`` as their
+    ``to_dict()`` and other values as stored."""
+    doc = {"family": problem.family, "dim_x": problem.dim_x,
+           "dim_y": problem.dim_y}
+    for f in fields(problem):
+        value = getattr(problem, f.name)
+        if f.name in _PART_READERS:
+            value = value.to_dict()
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        doc[f.name] = value
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def problem_from_json(text: str):
+    """The problem that ``problem_to_json`` wrote, from every field key of
+    its family's class.  Any other document raises InvalidProblemError;
+    the constructors' own errors pass through."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidProblemError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidProblemError(
+            f"a problem file holds a JSON object, not {type(doc).__name__}")
     family = doc.get("family")
-    stored = ProblemConstants.from_dict(doc["constants"])
-    noise = NoiseModel(**doc["noise"])
-    upper = _upper_from_dict(doc["upper"])
-    if family == "quadratic":
-        hess_dir = doc.get("hess_noise_dir")
-        return QuadraticBilevelProblem(
-            hess=np.asarray(doc["hess"], dtype=float),
-            coupling=np.asarray(doc["coupling"], dtype=float),
-            offset=np.asarray(doc["offset"], dtype=float),
-            upper=upper, noise=noise, constants=stored,
-            seed=doc.get("seed"),
-            hess_noise_dir=None if hess_dir is None else np.asarray(hess_dir, dtype=float))
-    if family == "logistic":
-        return LogisticBilevelProblem(
-            features=np.asarray(doc["features"], dtype=float),
-            cross_rows=np.asarray(doc["cross_rows"], dtype=float),
-            reg=doc["reg"], batch_size=doc["batch_size"],
-            adjoint_method=doc.get("adjoint_method", "direct"),
-            upper=upper, noise=noise, constants=stored, seed=doc.get("seed"))
-    raise InvalidProblemError(f"unknown problem family: {family!r}")
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise InvalidProblemError(f"unknown problem family: {family!r}")
+    missing = [f.name for f in fields(cls) if f.name not in doc]
+    if missing:
+        raise InvalidProblemError(f"problem JSON lacks {', '.join(missing)}")
+    kwargs = {f.name: doc[f.name] for f in fields(cls)}
+    try:
+        for name, read in _PART_READERS.items():
+            kwargs[name] = read(kwargs[name])
+        return cls(**kwargs)
+    except (InvalidParameterError, InvalidProblemError):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidProblemError(
+            f"malformed problem JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def problem_hash(problem) -> str:

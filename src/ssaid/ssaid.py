@@ -47,6 +47,8 @@ __all__ = [
 
 TRACE_COLUMNS = ("k", "grad_phi_sq", "y_err", "v_err", "v_norm",
                  "x_step_norm", "phi", "gc_count", "mv_count")
+# each column's type; the CSV holds the header, then the values' reprs
+_TRACE_TYPES = (int,) + (float,) * 6 + (int, int)
 
 GC_PER_STEP = 3
 MV_PER_STEP = 2
@@ -197,16 +199,8 @@ class IterationTrace:
     @classmethod
     def from_rows(cls, rows, final_state=None, steps=None) -> "IterationTrace":
         cols = list(zip(*rows)) if rows else [[] for _ in TRACE_COLUMNS]
-        arr = [np.asarray(c) for c in cols]
-        return cls(k=arr[0].astype(np.int64),
-                   grad_phi_sq=arr[1].astype(float),
-                   y_err=arr[2].astype(float),
-                   v_err=arr[3].astype(float),
-                   v_norm=arr[4].astype(float),
-                   x_step_norm=arr[5].astype(float),
-                   phi=arr[6].astype(float),
-                   gc_count=arr[7].astype(np.int64),
-                   mv_count=arr[8].astype(np.int64),
+        return cls(**{name: np.asarray(col).astype(kind) for name, kind, col
+                      in zip(TRACE_COLUMNS, _TRACE_TYPES, cols)},
                    final_state=final_state, steps=steps)
 
     @property
@@ -221,14 +215,9 @@ class IterationTrace:
         return np.cumsum(self.grad_phi_sq) / np.arange(1, n + 1)
 
     def csv_text(self) -> str:
+        cols = [getattr(self, name).tolist() for name in TRACE_COLUMNS]
         lines = [",".join(TRACE_COLUMNS)]
-        for i in range(self.n_rows):
-            lines.append(
-                f"{int(self.k[i])},{float(self.grad_phi_sq[i])!r},"
-                f"{float(self.y_err[i])!r},{float(self.v_err[i])!r},"
-                f"{float(self.v_norm[i])!r},{float(self.x_step_norm[i])!r},"
-                f"{float(self.phi[i])!r},{int(self.gc_count[i])},"
-                f"{int(self.mv_count[i])}")
+        lines.extend(",".join(map(repr, row)) for row in zip(*cols))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -238,11 +227,11 @@ class IterationTrace:
             raise InvalidParameterError("trace CSV header mismatch")
         rows = []
         for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != len(TRACE_COLUMNS):
-                raise InvalidParameterError(f"malformed trace row: {ln!r}")
-            rows.append((int(parts[0]), *(float(p) for p in parts[1:7]),
-                         int(parts[7]), int(parts[8])))
+            try:
+                rows.append([kind(p) for kind, p in
+                             zip(_TRACE_TYPES, ln.split(","), strict=True)])
+            except ValueError as exc:
+                raise InvalidParameterError(f"malformed trace row: {ln!r}") from exc
         return cls.from_rows(rows)
 
 

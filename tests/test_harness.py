@@ -19,7 +19,7 @@ from ssaid.harness import (RateFit, SweepSpec, _build_parser, _run_to_epsilon,
 from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
                             QuadraticBilevelProblem, make_quadratic_problem,
                             problem_to_json)
-from ssaid.ssaid import IterationTrace, RunConfig, run_ssaid
+from ssaid.ssaid import TRACE_COLUMNS, IterationTrace, RunConfig, run_ssaid
 from ssaid.verification import LEMMA_IDS
 
 
@@ -122,6 +122,7 @@ def test_parse_algorithm_rejects(name):
     {"algorithms": ("sgd",)},
     {"dim_x": 0},
     {"sigma": -1.0},
+    {"algorithms": ("ssaid", "multiloop", "ssaid")},
 ])
 def test_sweep_spec_rejects(kwargs):
     base = {"kappa_grid": (2.0, 10.0), "seeds": (0, 1), "epsilon": 0.1,
@@ -315,6 +316,40 @@ def test_cli_flag_the_command_ignores_exits_one(command, flag, capsys):
     # gen, run and verify take --seed; sweep and compare take --threads
     assert run_cli(command, flag, "2") == 1
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+_TINY_SWEEP = "--kappa-grid 2 --max-iters 10 --dim 2"
+
+
+@pytest.mark.parametrize("argv,text", [
+    ("run --problem {file}", lambda doc: '{"family": "quadratic"}'),
+    ("run --problem {file}", lambda doc: "[1, 2]"),
+    ("run --problem {file}", lambda doc: json.dumps(
+        {**doc, "noise": {**doc["noise"], "sigmma": 1.0}})),
+    ("gen --seed -3", None),
+    ("run --problem {file} --K 5 --seed -1", None),
+    ("verify --problem {file} --replications 4 --checkpoints 1 --mc-seed -1",
+     None),
+    ("sweep --seeds -1 " + _TINY_SWEEP, None),
+    ("sweep --seeds 0 --problem-seed -1 " + _TINY_SWEEP, None),
+    ("compare --seeds 0 --algorithms ssaid,ssaid " + _TINY_SWEEP, None),
+    ("fit --trace {file} --k-min 1 --k-max 10",
+     lambda doc: ",".join(TRACE_COLUMNS) + "\n0,x,1,1,1,1,1,3,2\n"),
+], ids=["family-only", "not-an-object", "noise-typo", "gen-seed", "run-seed",
+        "mc-seed", "sweep-seeds", "problem-seed", "repeated-algorithm",
+        "trace-value"])
+def test_cli_bad_input_exits_one_with_an_error_line(argv, text, tmp_path,
+                                                    capsys):
+    # ``{file}`` is a valid problem file, or what ``text`` makes of one; an
+    # exception escaping main fails the test as a traceback would
+    valid = gen_problem(tmp_path / "gen").read_text()
+    path = tmp_path / "input"
+    path.write_text(valid if text is None else text(json.loads(valid)))
+    capsys.readouterr()
+    argv = shlex.split(argv.format(file=path))
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_cli_partial_step_overrides_rejected(tmp_path):

@@ -456,6 +456,44 @@ def test_json_rejects_tampered_constants():
         problem_from_json(json.dumps(doc))
 
 
+def test_json_key_set_of_each_family():
+    # the problem JSON is the family, the dimensions and every dataclass
+    # field; a new field changes every problem hash, so it must show here
+    common = {"family", "dim_x", "dim_y", "upper", "noise", "constants",
+              "seed"}
+    quad = json.loads(problem_to_json(tiny_quadratic()))
+    assert set(quad) == common | {"hess", "coupling", "offset",
+                                  "hess_noise_dir"}
+    logi = json.loads(problem_to_json(tiny_logistic()))
+    assert set(logi) == common | {"features", "cross_rows", "reg",
+                                  "batch_size", "adjoint_method"}
+    assert set(quad["noise"]) == {"sigma", "radius", "hess_scale"}
+    assert set(quad["constants"]) == {"mu", "lipschitz_L", "rho",
+                                      "lipschitz_M", "sigma", "tau", "kappa"}
+    assert set(quad["upper"]) == {"kind", "target", "cos_amp", "cos_freq",
+                                  "huber_delta"}
+    plain = PlainQuadraticUpper(target=np.zeros(4), x_weight=0.5).to_dict()
+    assert set(plain) == {"kind", "target", "x_weight"}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [doc],
+    lambda doc: {k: v for k, v in doc.items() if k != "seed"},
+    lambda doc: {**doc, "noise": {**doc["noise"], "sigmma": 1.0}},
+    lambda doc: {**doc, "noise": [0.0, 0.0, 0.0]},
+    lambda doc: {**doc, "constants": {"mu": 1.0}},
+    lambda doc: {**doc, "upper": "pseudo_huber_cosine"},
+    lambda doc: {**doc, "upper": {"kind": "pseudo_huber_cosine"}},
+    lambda doc: {**doc, "hess": [[1.0, 0.0], [0.0]]},
+    lambda doc: {**doc, "family": ["quadratic"]},
+], ids=["list", "no-seed", "noise-key", "noise-list", "constants-keys",
+        "upper-string", "upper-keys", "ragged-hess", "family-list"])
+def test_json_rejects_malformed_documents(edit):
+    doc = json.loads(problem_to_json(tiny_quadratic()))
+    with pytest.raises(InvalidProblemError):
+        problem_from_json(json.dumps(edit(doc)))
+
+
 def test_json_rejects_garbage():
     with pytest.raises(InvalidProblemError):
         problem_from_json("{not json")

@@ -186,8 +186,10 @@ def test_csv_rejects_bad_header_and_rows():
     with pytest.raises(InvalidParameterError):
         IterationTrace.from_csv_text("a,b,c\n1,2,3\n")
     good = run_ssaid(noisy_problem(), RunConfig(seed=4, horizon=2)).csv_text()
-    with pytest.raises(InvalidParameterError):
-        IterationTrace.from_csv_text(good + "1,2\n")
+    for row in ("1,2", "2,0.5,1,1,1,1,1,9,6,7", "2,0.5,1,x,1,1,1,9,6",
+                "2.5,0.5,1,1,1,1,1,9,6"):
+        with pytest.raises(InvalidParameterError):
+            IterationTrace.from_csv_text(good + row + "\n")
 
 
 def test_auto_steps_shrink_with_horizon():
