@@ -32,9 +32,10 @@ from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
 from .hypergradient import StepSizes, compute_derived_constants
-from .problems import (NoiseModel, _row_dot, make_logistic_problem,
-                       make_quadratic_problem, problem_from_json,
-                       problem_hash, problem_to_json, reference_solution)
+from .problems import (NoiseModel, _json_text, _row_dot,
+                       make_logistic_problem, make_quadratic_problem,
+                       problem_from_json, problem_hash, problem_to_json,
+                       reference_solution)
 from .ssaid import (IterationTrace, RunConfig, _finite_rows, _ssaid_start,
                     initial_vectors, iterate, run_ssaid)
 from .streams import RowStreams
@@ -77,11 +78,6 @@ class RateFit:
         lo, hi = self.k_window
         if not lo < hi:
             raise InvalidParameterError("k_window must satisfy k_min < k_max")
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared,
-                "k_window": [int(self.k_window[0]), int(self.k_window[1])]}
 
 
 def rate_fit(trace: IterationTrace, k_window) -> RateFit:
@@ -183,6 +179,8 @@ class SweepSpec:
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise InvalidParameterError("seeds must be nonempty")
+        if len(set(seeds)) < len(seeds):
+            raise InvalidParameterError(f"seeds must be distinct, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise InvalidParameterError("epsilon must be positive")
@@ -201,16 +199,6 @@ class SweepSpec:
             raise InvalidParameterError("dimensions must be >= 1")
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise InvalidParameterError("sigma must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return {"kappa_grid": list(self.kappa_grid),
-                "seeds": list(self.seeds),
-                "epsilon": self.epsilon,
-                "max_iters": int(self.max_iters),
-                "algorithms": list(self.algorithms),
-                "dim_x": int(self.dim_x), "dim_y": int(self.dim_y),
-                "sigma": self.sigma,
-                "problem_seed": int(self.problem_seed)}
 
 
 @dataclass(frozen=True)
@@ -380,11 +368,9 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def sweep_summary_json(result: SweepResult, spec: SweepSpec) -> str:
-    doc = {"schema": "ssaid-sweep-v1",
-           "spec": spec.to_dict(),
-           "medians": result.medians,
-           "exponents": result.exponents}
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return _json_text({"schema": "ssaid-sweep-v1", "spec": spec,
+                       "medians": result.medians,
+                       "exponents": result.exponents})
 
 
 # ---------------------------------------------------------------------------
@@ -602,19 +588,19 @@ def _cmd_run(args) -> int:
         "schema": "ssaid-run-v1",
         "problem_sha256": problem_hash(problem),
         "problem_family": problem.family,
-        "config": config.to_dict(),
-        "steps": trace.steps.to_dict(),
-        "constants": constants.to_dict(),
-        "derived": derived.to_dict(),
+        "config": config,
+        "steps": trace.steps,
+        "constants": constants,
+        "derived": derived,
         "c_beta": derived.c_beta(constants, trace.steps.alpha,
                                  trace.steps.beta),
         "rows": int(trace.n_rows),
         # the last trace row's values, each of its column's type
-        "final": {name: getattr(trace, name)[-1].item() for name in
+        "final": {name: getattr(trace, name)[-1] for name in
                   ("k", "grad_phi_sq", "y_err", "v_err", "gc_count",
                    "mv_count")},
     }
-    _emit(out / f"run_{tag}.json", json.dumps(meta, sort_keys=True, indent=2))
+    _emit(out / f"run_{tag}.json", _json_text(meta))
     print(f"wall_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
@@ -632,11 +618,11 @@ def _cmd_verify(args) -> int:
     out = _out_dir(args)
     doc = {"schema": "ssaid-lemma-v1",
            "problem_sha256": problem_hash(problem),
-           "mc": mc.to_dict(),
+           "mc": mc,
            "horizon": horizon,
            "verdict": "pass" if all(r.passed for r in reports) else "fail",
-           "reports": [r.to_json() for r in reports]}
-    _emit(out / f"{stem}.json", json.dumps(doc, sort_keys=True, indent=2))
+           "reports": reports}
+    _emit(out / f"{stem}.json", _json_text(doc))
     _emit(out / f"{stem}.csv", summary_csv(reports))
     for rep in reports:
         print(f"{rep.lemma_id}: "
@@ -666,8 +652,7 @@ def _cmd_fit(args) -> int:
     fit = rate_fit(trace, (_required(args, "k_min"), _required(args, "k_max")))
     out = _out_dir(args)
     stem = Path(args.trace).stem
-    _emit(out / f"fit_{stem}.json",
-          json.dumps(fit.to_dict(), sort_keys=True, indent=2))
+    _emit(out / f"fit_{stem}.json", _json_text(fit))
     print(f"slope={fit.slope!r} r_squared={fit.r_squared!r}")
     return 0
 

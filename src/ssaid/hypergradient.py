@@ -75,10 +75,6 @@ class DerivedConstants:
                        + _mul(self.c0, _mul(constants.lipschitz_L,
                                             constants.lipschitz_M))))
 
-    def to_dict(self) -> dict:
-        return {"c0": self.c0, "c1": self.c1, "c2": self.c2, "c3": self.c3,
-                "l_phi": self.l_phi, "v0_norm": self.v0_norm}
-
 
 def compute_l_phi(constants: ProblemConstants) -> float:
     """Smoothness constant of the implicit objective."""
@@ -131,10 +127,6 @@ class StepSizes:
         # vector by them faster than by Python floats, with the same bits
         object.__setattr__(self, "_arrays", tuple(
             np.array(v) for v in (self.alpha, self.eta, self.beta)))
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "eta": self.eta, "beta": self.beta,
-                "horizon_k": self.horizon_k}
 
 
 def beta_stability_cap(derived: DerivedConstants, constants: ProblemConstants,

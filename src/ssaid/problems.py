@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -63,12 +63,12 @@ def _finite(*vals) -> bool:
     return all(np.isfinite(v) for v in vals)
 
 
-def _fields_dict(part) -> dict:
-    """Every dataclass field of ``part``, the JSON form of constants, noise
-    and upper objectives: arrays as lists, numbers as floats."""
-    values = {f.name: getattr(part, f.name) for f in fields(part)}
-    return {name: v.tolist() if isinstance(v, np.ndarray) else float(v)
-            for name, v in values.items()}
+def _float_fields(part):
+    """Store every init field of the frozen ``part`` that is not an array as
+    a float, so a value's type is decided once, at construction."""
+    for f in fields(part):
+        if f.init and not isinstance(getattr(part, f.name), np.ndarray):
+            object.__setattr__(part, f.name, float(getattr(part, f.name)))
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,10 @@ class ProblemConstants:
     lipschitz_M: float
     sigma: float
     tau: float
+    kappa: float = field(init=False)   # lipschitz_L / mu
 
     def __post_init__(self):
+        _float_fields(self)
         if not _finite(self.mu, self.lipschitz_L, self.rho, self.sigma, self.tau):
             raise InvalidParameterError("constants must be finite")
         if math.isnan(self.lipschitz_M):
@@ -98,17 +100,11 @@ class ProblemConstants:
                 f"lipschitz_L ({self.lipschitz_L}) must be >= mu ({self.mu})")
         if min(self.rho, self.lipschitz_M, self.sigma, self.tau) < 0:
             raise InvalidParameterError("rho, lipschitz_M, sigma, tau must be >= 0")
-
-    @property
-    def kappa(self) -> float:
-        return self.lipschitz_L / self.mu
-
-    def to_dict(self) -> dict:
-        return {**_fields_dict(self), "kappa": float(self.kappa)}
+        object.__setattr__(self, "kappa", self.lipschitz_L / self.mu)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemConstants":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
 
 
 @dataclass(frozen=True)
@@ -132,13 +128,11 @@ class NoiseModel:
     hess_scale: float = 0.0
 
     def __post_init__(self):
+        _float_fields(self)
         if not _finite(self.sigma, self.radius, self.hess_scale):
             raise InvalidParameterError("noise parameters must be finite")
         if min(self.sigma, self.radius, self.hess_scale) < 0:
             raise InvalidParameterError("noise parameters must be >= 0")
-
-    def to_dict(self) -> dict:
-        return _fields_dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +156,13 @@ class PseudoHuberCosineUpper:
     cos_amp: float = 0.0
     cos_freq: float = 1.0
     huber_delta: float = 1.0
+    kind: str = field(default="pseudo_huber_cosine", init=False)
 
-    kind = "pseudo_huber_cosine"
     assumption_violating = False
 
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+        _float_fields(self)
         if self.target.ndim != 1:
             raise InvalidParameterError("target must be a vector")
         if self.huber_delta <= 0:
@@ -199,9 +194,6 @@ class PseudoHuberCosineUpper:
         # pseudo-Huber curvature peaks at 1 regardless of delta
         return max(1.0, self.cos_amp * self.cos_freq ** 2)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **_fields_dict(self)}
-
 
 @dataclass(frozen=True)
 class PlainQuadraticUpper:
@@ -216,12 +208,13 @@ class PlainQuadraticUpper:
 
     target: np.ndarray
     x_weight: float = 0.0
+    kind: str = field(default="plain_quadratic", init=False)
 
-    kind = "plain_quadratic"
     assumption_violating = True
 
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+        _float_fields(self)
         if self.target.ndim != 1:
             raise InvalidParameterError("target must be a vector")
         if self.x_weight < 0:
@@ -244,21 +237,18 @@ class PlainQuadraticUpper:
     def grad_lipschitz(self) -> float:
         return max(1.0, self.x_weight)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **_fields_dict(self)}
-
 
 _UPPERS = {cls.kind: cls
            for cls in (PseudoHuberCosineUpper, PlainQuadraticUpper)}
 
 
 def _upper_from_dict(d: dict):
-    """The upper objective of a ``to_dict``, from its class's fields."""
+    """The upper objective of its JSON form, from its class's init fields."""
     kind = d.get("kind")
     cls = _UPPERS.get(kind)
     if cls is None:
         raise InvalidProblemError(f"unknown upper objective kind: {kind!r}")
-    return cls(**{f.name: d[f.name] for f in fields(cls)})
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +293,8 @@ class _BilevelProblemBase:
         if self.constants is None:
             self.constants = recomputed
         for f in fields(recomputed):
+            if not f.init:
+                continue   # kappa, derived from the others
             a, b = getattr(self.constants, f.name), getattr(recomputed, f.name)
             close = math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-9
             if a != b and not close:
@@ -853,32 +845,42 @@ def reference_solution(problem, x: np.ndarray) -> ReferenceSolution:
 _FAMILIES = {cls.family: cls
              for cls in (QuadraticBilevelProblem, LogisticBilevelProblem)}
 
-# the fields written as their to_dict(), and the reader of each
+# the fields written as their dataclass fields, and the reader of each
 _PART_READERS = {"upper": _upper_from_dict,
                  "noise": lambda d: NoiseModel(**d),
                  "constants": ProblemConstants.from_dict}
 
 
+def _json_default(o):
+    if is_dataclass(o):
+        return asdict(o)
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """The text of every JSON artifact: ``doc`` with sorted keys, each
+    dataclass in it as its fields (``dataclasses.asdict``), each array or
+    numpy scalar as its ``tolist()``."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+
+
 def problem_to_json(problem) -> str:
-    """The problem's family, its dimensions and every field of its class:
-    arrays as nested lists, the fields in ``_PART_READERS`` as their
-    ``to_dict()`` and other values as stored."""
+    """The problem's family, its dimensions and every field of its class.
+    The fields go to ``_json_text`` one by one, so the problem's own arrays
+    are not deep-copied."""
     doc = {"family": problem.family, "dim_x": problem.dim_x,
            "dim_y": problem.dim_y}
-    for f in fields(problem):
-        value = getattr(problem, f.name)
-        if f.name in _PART_READERS:
-            value = value.to_dict()
-        elif isinstance(value, np.ndarray):
-            value = value.tolist()
-        doc[f.name] = value
-    return json.dumps(doc, sort_keys=True, indent=2)
+    doc.update((f.name, getattr(problem, f.name)) for f in fields(problem))
+    return _json_text(doc)
 
 
 def problem_from_json(text: str):
     """The problem that ``problem_to_json`` wrote, from every field key of
-    its family's class.  Any other document raises InvalidProblemError;
-    the constructors' own errors pass through."""
+    its family's class; its dim_x and dim_y must match the arrays.  Any
+    other document raises InvalidProblemError; the constructors' own errors
+    pass through."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -897,12 +899,18 @@ def problem_from_json(text: str):
     try:
         for name, read in _PART_READERS.items():
             kwargs[name] = read(kwargs[name])
-        return cls(**kwargs)
+        problem = cls(**kwargs)
     except (InvalidParameterError, InvalidProblemError):
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidProblemError(
             f"malformed problem JSON: {type(exc).__name__}: {exc}") from exc
+    dims = (problem.dim_x, problem.dim_y)
+    if (doc.get("dim_x"), doc.get("dim_y")) != dims:
+        raise InvalidProblemError(
+            f"dim_x, dim_y ({doc.get('dim_x')}, {doc.get('dim_y')}) disagree "
+            f"with the arrays' {dims}")
+    return problem
 
 
 def problem_hash(problem) -> str:

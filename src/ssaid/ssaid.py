@@ -89,17 +89,6 @@ class RunConfig:
         if not isinstance(self.steps, StepSizes) and self.steps != "auto":
             raise InvalidParameterError("steps must be a StepSizes or 'auto'")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "horizon": int(self.horizon),
-            "steps": ("auto" if self.steps == "auto" else self.steps.to_dict()),
-            "stride": int(self.stride),
-            "x0": None if self.x0 is None else np.asarray(self.x0).tolist(),
-            "y0": None if self.y0 is None else np.asarray(self.y0).tolist(),
-            "v0": None if self.v0 is None else np.asarray(self.v0).tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # the iteration kernel, shared by the single-loop step, the multi-loop

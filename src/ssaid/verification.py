@@ -78,11 +78,6 @@ class MCConfig:
                 "checkpoints must be strictly increasing")
         object.__setattr__(self, "checkpoints", pts)
 
-    def to_dict(self) -> dict:
-        return {"replications": int(self.replications),
-                "checkpoints": list(self.checkpoints),
-                "base_seed": int(self.base_seed)}
-
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -94,35 +89,26 @@ class CheckRow:
     violated: bool
 
     def to_json(self) -> dict:
-        return {"k": int(self.k), "lhs": self.lhs, "lhs_se": self.lhs_se,
-                "rhs": self.rhs, "margin": self.margin,
-                "violated": bool(self.violated)}
+        return dataclasses.asdict(self)
 
 
 @dataclass
 class LemmaReport:
+    """One lemma's rows; ``violation_fraction`` and ``passed`` derive from
+    the rows at construction, and are written with the other fields."""
+
     lemma_id: str
     rows: list
     replications: int
     notes: list = field(default_factory=list)
+    violation_fraction: float = field(init=False)
+    passed: bool = field(init=False)
 
-    @property
-    def violation_fraction(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(1 for r in self.rows if r.violated) / len(self.rows)
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_fraction <= 0.01
-
-    def to_json(self) -> dict:
-        return {"lemma_id": self.lemma_id,
-                "replications": int(self.replications),
-                "passed": bool(self.passed),
-                "violation_fraction": self.violation_fraction,
-                "notes": list(self.notes),
-                "rows": [r.to_json() for r in self.rows]}
+    def __post_init__(self):
+        self.violation_fraction = (
+            sum(1 for r in self.rows if r.violated) / len(self.rows)
+            if self.rows else 0.0)
+        self.passed = self.violation_fraction <= 0.01
 
 
 def summary_csv(reports) -> str:

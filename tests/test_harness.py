@@ -123,6 +123,7 @@ def test_parse_algorithm_rejects(name):
     {"dim_x": 0},
     {"sigma": -1.0},
     {"algorithms": ("ssaid", "multiloop", "ssaid")},
+    {"seeds": (0, 1, 0)},
 ])
 def test_sweep_spec_rejects(kwargs):
     base = {"kappa_grid": (2.0, 10.0), "seeds": (0, 1), "epsilon": 0.1,
@@ -335,9 +336,10 @@ _TINY_SWEEP = "--kappa-grid 2 --max-iters 10 --dim 2"
     ("compare --seeds 0 --algorithms ssaid,ssaid " + _TINY_SWEEP, None),
     ("fit --trace {file} --k-min 1 --k-max 10",
      lambda doc: ",".join(TRACE_COLUMNS) + "\n0,x,1,1,1,1,1,3,2\n"),
+    ("sweep --seeds 0,0 " + _TINY_SWEEP, None),
 ], ids=["family-only", "not-an-object", "noise-typo", "gen-seed", "run-seed",
         "mc-seed", "sweep-seeds", "problem-seed", "repeated-algorithm",
-        "trace-value"])
+        "trace-value", "repeated-seed"])
 def test_cli_bad_input_exits_one_with_an_error_line(argv, text, tmp_path,
                                                     capsys):
     # ``{file}`` is a valid problem file, or what ``text`` makes of one; an
@@ -480,6 +482,56 @@ def test_cli_compare_includes_both_algorithms(tmp_path):
     lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
     algs = {line.split(",")[2] for line in lines[1:]}
     assert algs == {"ssaid", "multiloop:1:1"}
+
+
+def test_cli_json_key_set_of_each_artifact(tmp_path):
+    # every JSON artifact is its records' dataclass fields; a new field is
+    # a format change, so it must show here
+    def read(pattern):
+        return json.loads(next(tmp_path.glob(pattern)).read_text())
+
+    ppath = gen_problem(tmp_path)
+    assert run_cli("run", "--problem", str(ppath), "--K", "20",
+                   "--out-dir", str(tmp_path)) == 0
+    run = read("run_*.json")
+    assert set(run) == {"schema", "problem_sha256", "problem_family",
+                        "config", "steps", "constants", "derived", "c_beta",
+                        "rows", "final"}
+    assert set(run["config"]) == {"seed", "horizon", "steps", "stride", "x0",
+                                  "y0", "v0"}
+    assert set(run["steps"]) == {"alpha", "eta", "beta", "horizon_k"}
+    assert set(run["constants"]) == {"mu", "lipschitz_L", "rho",
+                                     "lipschitz_M", "sigma", "tau", "kappa"}
+    assert set(run["derived"]) == {"c0", "c1", "c2", "c3", "l_phi",
+                                   "v0_norm"}
+    assert set(run["final"]) == {"k", "grad_phi_sq", "y_err", "v_err",
+                                 "gc_count", "mv_count"}
+    trace_path = next(tmp_path.glob("trace_*.csv"))
+    assert run_cli("fit", "--trace", str(trace_path), "--k-min", "2",
+                   "--k-max", "20", "--out-dir", str(tmp_path)) == 0
+    assert set(read("fit_*.json")) == {"slope", "intercept", "r_squared",
+                                       "k_window"}
+    assert run_cli("verify", "--problem", str(ppath), "--lemma", "VBound",
+                   *TINY_VERIFY, "--out-dir", str(tmp_path)) == 0
+    lemma = read("lemma_*.json")
+    assert set(lemma) == {"schema", "problem_sha256", "mc", "horizon",
+                          "verdict", "reports"}
+    assert set(lemma["mc"]) == {"replications", "checkpoints", "base_seed"}
+    report = lemma["reports"][0]
+    assert set(report) == {"lemma_id", "rows", "replications", "notes",
+                           "passed", "violation_fraction"}
+    assert set(report["rows"][0]) == {"k", "lhs", "lhs_se", "rhs", "margin",
+                                      "violated"}
+    assert run_cli("sweep", "--kappa-grid", "1", "--seeds", "0",
+                   "--epsilon", "1e6", "--max-iters", "10", "--dim", "3",
+                   "--out-dir", str(tmp_path)) == 0
+    summary = read("sweep_summary.json")
+    assert set(summary) == {"schema", "spec", "medians", "exponents"}
+    assert set(summary["spec"]) == {"kappa_grid", "seeds", "epsilon",
+                                    "max_iters", "algorithms", "dim_x",
+                                    "dim_y", "sigma", "problem_seed"}
+    assert set(summary["medians"][0]) == {"kappa", "algorithm", "median",
+                                          "resolved", "completed"}
 
 
 def test_cli_config_file_and_override(tmp_path):

@@ -1,19 +1,24 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses,
+and no private module-level name of the package is left unreferenced.
 
 The toolchain has no linter, so this walks each module's syntax tree: a
 name bound by an import must appear as a name somewhere in the module or
 be listed in its ``__all__``.  ``__init__.py`` re-exports by design and is
-left out; so are ``from __future__`` imports.
+left out; so are ``from __future__`` imports.  A ``_private`` function,
+class or assignment at the top of a package module must be referenced
+outside its own definition, in the package, the tests or the benchmark.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "ssaid").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "ssaid").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")))
 
 
@@ -48,3 +53,70 @@ def test_checker_flags_unused_and_accepts_exported():
            "import json\nimport os.path\nfrom math import pi, tau as t\n"
            "__all__ = ['pi']\nos.path.join('a')\n")
     assert unused_imports(src) == [(2, "json"), (4, "t")]
+
+
+def _private_definitions(tree):
+    """(name, node) of each ``_private`` def, class or assignment at the
+    top of a module; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _references(tree, skip=None) -> set:
+    """Every name, attribute, imported name and string constant of
+    ``tree``, outside the subtree ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def dead_names(own: str, elsewhere=frozenset()) -> list:
+    """The private top-level names of the module source ``own`` that
+    neither it, outside their definitions, nor ``elsewhere`` refers to."""
+    tree = ast.parse(own)
+    return sorted(name for name, node in _private_definitions(tree)
+                  if name not in elsewhere
+                  and name not in _references(tree, skip=node))
+
+
+@functools.cache
+def _file_references(path) -> set:
+    return _references(ast.parse(path.read_text()))
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_dead_private_names(path):
+    files = (PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+             + sorted((ROOT / "bench").glob("*.py")))
+    elsewhere = set().union(*(_file_references(p) for p in files
+                              if p != path))
+    assert dead_names(path.read_text(), elsewhere) == []
+
+
+def test_dead_name_checker_flags_an_orphan():
+    src = ("def _orphan():\n    return _orphan()\n"
+           "def _used():\n    return 1\n"
+           "_TABLE = {'a': _used}\n__all__ = []\n")
+    assert dead_names(src) == ["_TABLE", "_orphan"]
+    assert dead_names(src, {"_TABLE"}) == ["_orphan"]

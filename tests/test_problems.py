@@ -9,12 +9,14 @@ import pytest
 
 from ssaid.errors import InvalidParameterError, InvalidProblemError
 from ssaid.problems import (
+    LogisticBilevelProblem,
     NoiseModel,
     PlainQuadraticUpper,
     ProblemConstants,
     PseudoHuberCosineUpper,
     QuadraticBilevelProblem,
     _SOLVE_BLOCK,
+    _json_text,
     _sigmoid,
     lower_solution,
     make_logistic_problem,
@@ -472,8 +474,27 @@ def test_json_key_set_of_each_family():
                                       "lipschitz_M", "sigma", "tau", "kappa"}
     assert set(quad["upper"]) == {"kind", "target", "cos_amp", "cos_freq",
                                   "huber_delta"}
-    plain = PlainQuadraticUpper(target=np.zeros(4), x_weight=0.5).to_dict()
+    plain = json.loads(_json_text(PlainQuadraticUpper(target=np.zeros(4),
+                                                      x_weight=0.5)))
     assert set(plain) == {"kind", "target", "x_weight"}
+
+
+def test_json_writes_float_parameters_as_floats():
+    # int parameters become floats at construction, so the JSON holds
+    # floats; a field stored as given (the logistic reg) stays as given
+    quad = make_quadratic_problem(2, 2, 4.0, noise=NoiseModel(sigma=1))
+    doc = json.loads(problem_to_json(quad))
+    assert isinstance(doc["noise"]["sigma"], float)
+    assert isinstance(doc["constants"]["sigma"], float)
+    rng = np.random.default_rng(0)
+    logi = LogisticBilevelProblem(
+        features=rng.standard_normal((6, 2)),
+        cross_rows=rng.standard_normal((6, 2)), reg=1, batch_size=2,
+        upper=PseudoHuberCosineUpper(target=np.zeros(2), cos_amp=0))
+    doc = json.loads(problem_to_json(logi))
+    assert isinstance(doc["upper"]["cos_amp"], float)
+    assert isinstance(doc["constants"]["mu"], float)
+    assert doc["reg"] == 1 and isinstance(doc["reg"], int)
 
 
 @pytest.mark.parametrize("edit", [
@@ -486,8 +507,11 @@ def test_json_key_set_of_each_family():
     lambda doc: {**doc, "upper": {"kind": "pseudo_huber_cosine"}},
     lambda doc: {**doc, "hess": [[1.0, 0.0], [0.0]]},
     lambda doc: {**doc, "family": ["quadratic"]},
+    lambda doc: {**doc, "dim_x": 99},
+    lambda doc: {**doc, "dim_y": 99},
 ], ids=["list", "no-seed", "noise-key", "noise-list", "constants-keys",
-        "upper-string", "upper-keys", "ragged-hess", "family-list"])
+        "upper-string", "upper-keys", "ragged-hess", "family-list", "dim-x",
+        "dim-y"])
 def test_json_rejects_malformed_documents(edit):
     doc = json.loads(problem_to_json(tiny_quadratic()))
     with pytest.raises(InvalidProblemError):

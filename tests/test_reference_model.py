@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from ssaid.harness import _run_to_epsilon
-from ssaid.problems import NoiseModel, make_quadratic_problem, problem_to_json
+from ssaid.problems import (NoiseModel, _json_text, make_quadratic_problem,
+                            problem_to_json)
 from ssaid.ssaid import RunConfig, resolve_step_sizes, run_ssaid
 from ssaid.verification import MCConfig, run_lemma_suite
 
@@ -73,7 +74,7 @@ def test_lemma_rows_match_model(problem):
     mc = MCConfig(replications=400, checkpoints=checkpoints, base_seed=3)
     reports = (run_lemma_suite(problem, config, mc, "lower_tracking")
                + run_lemma_suite(problem, config, mc, "GeomSum"))
-    doc = {"reports": [r.to_json() for r in reports]}
+    doc = json.loads(_json_text({"reports": reports}))
     s = resolve_step_sizes(problem, config, np.zeros(6))
     want = ref.lower_tracking_rows(_model(problem), 4, 3, 400, checkpoints,
                                    s.alpha, s.eta, s.beta)

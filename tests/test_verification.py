@@ -2,6 +2,7 @@
 must hold exactly with zero error bars, seeded noise bands, validation
 rejections, and small full-suite passes."""
 
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from ssaid.errors import DivergenceError, InvalidParameterError
 from ssaid.hypergradient import StepSizes, compute_derived_constants
 from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
-                            QuadraticBilevelProblem, make_logistic_problem,
-                            make_quadratic_problem, reference_solution)
+                            QuadraticBilevelProblem, _json_text,
+                            make_logistic_problem, make_quadratic_problem,
+                            reference_solution)
 from ssaid.ssaid import IterationTrace, RunConfig, run_ssaid
 from ssaid.verification import (LEMMA_IDS, MCConfig, _simulate_history,
                                 check_bias_recursions,
@@ -372,7 +374,7 @@ def test_report_json_round_trip_fields():
     config = RunConfig(seed=6, horizon=4)
     mc = MCConfig(replications=20, checkpoints=(1, 3))
     report = check_lower_tracking(problem, config, mc)
-    blob = report.to_json()
+    blob = json.loads(_json_text(report))
     assert blob["lemma_id"] == "LowerTracking"
     assert blob["replications"] == 20
     assert isinstance(blob["passed"], bool)
