@@ -16,6 +16,7 @@ Three layers:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -557,7 +558,9 @@ def _cmd_gen(args) -> int:
             seed=args.seed, reg=args.reg, batch_size=args.batch_size,
             noise=noise)
     text = problem_to_json(problem)
-    _emit(_out_dir(args) / f"problem_{problem_hash(problem)[:12]}.json", text)
+    # problem_hash(problem), from the text already serialized
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    _emit(_out_dir(args) / f"problem_{digest[:12]}.json", text)
     return 0
 
 
@@ -578,7 +581,8 @@ def _cmd_run(args) -> int:
     trace = run_ssaid(problem, config)
     elapsed = time.perf_counter() - started
     out = _out_dir(args)
-    tag = f"{problem_hash(problem)[:10]}_seed{seed}_K{horizon}"
+    digest = problem_hash(problem)
+    tag = f"{digest[:10]}_seed{seed}_K{horizon}"
     _emit(out / f"trace_{tag}.csv", trace.csv_text())
     constants = problem.constants
     v0 = initial_vectors(problem, config)[2]
@@ -586,7 +590,7 @@ def _cmd_run(args) -> int:
                                         v0_norm=float(np.linalg.norm(v0)))
     meta = {
         "schema": "ssaid-run-v1",
-        "problem_sha256": problem_hash(problem),
+        "problem_sha256": digest,
         "problem_family": problem.family,
         "config": config,
         "steps": trace.steps,
@@ -614,10 +618,11 @@ def _cmd_verify(args) -> int:
     lemma = None if args.all else args.lemma
     reports = run_lemma_suite(problem, config, mc, lemma)
     name = "all" if lemma is None else reports[0].lemma_id
-    stem = f"lemma_{name}_{problem_hash(problem)[:10]}"
+    digest = problem_hash(problem)
+    stem = f"lemma_{name}_{digest[:10]}"
     out = _out_dir(args)
     doc = {"schema": "ssaid-lemma-v1",
-           "problem_sha256": problem_hash(problem),
+           "problem_sha256": digest,
            "mc": mc,
            "horizon": horizon,
            "verdict": "pass" if all(r.passed for r in reports) else "fail",

@@ -28,8 +28,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
 
 from .errors import (
     ConvergenceFailureError,
@@ -61,6 +59,38 @@ REFERENCE_TOL = 1e-12
 
 def _finite(*vals) -> bool:
     return all(np.isfinite(v) for v in vals)
+
+
+def _linalg():
+    """``scipy.linalg``, for the Cholesky factor and solves of a quadratic
+    problem's Hessian.  Imported at the first quadratic problem, not with
+    the package: it takes longer than the rest of the package's imports,
+    and the logistic family never calls it."""
+    import scipy.linalg
+    return scipy.linalg
+
+
+def _check_keys(d: dict, names: set, where: str):
+    """Refuse a JSON object whose keys are not exactly ``names``, the keys
+    that the writer emits."""
+    if d.keys() != names:
+        raise InvalidProblemError(
+            f"{where}: unexpected keys {sorted(d.keys() - names)}, "
+            f"missing keys {sorted(names - d.keys())}")
+
+
+def _from_fields(cls, d: dict, part: str):
+    """``cls`` from ``d``, the JSON form of the problem's ``part``: ``d``
+    holds every field of ``cls`` and no other key, and each derived field
+    (``init=False``) equals the built object's."""
+    _check_keys(d, {f.name for f in fields(cls)}, f"problem JSON {part}")
+    obj = cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
+    for f in fields(cls):
+        if not f.init and d[f.name] != getattr(obj, f.name):
+            raise InvalidProblemError(
+                f"problem JSON {part}.{f.name}={d[f.name]!r} disagrees with "
+                f"its derived value {getattr(obj, f.name)!r}")
+    return obj
 
 
 def _float_fields(part):
@@ -101,10 +131,6 @@ class ProblemConstants:
         if min(self.rho, self.lipschitz_M, self.sigma, self.tau) < 0:
             raise InvalidParameterError("rho, lipschitz_M, sigma, tau must be >= 0")
         object.__setattr__(self, "kappa", self.lipschitz_L / self.mu)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemConstants":
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
 
 
 @dataclass(frozen=True)
@@ -243,12 +269,12 @@ _UPPERS = {cls.kind: cls
 
 
 def _upper_from_dict(d: dict):
-    """The upper objective of its JSON form, from its class's init fields."""
+    """The upper objective of its JSON form, of the class its kind names."""
     kind = d.get("kind")
     cls = _UPPERS.get(kind)
     if cls is None:
         raise InvalidProblemError(f"unknown upper objective kind: {kind!r}")
-    return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
+    return _from_fields(cls, d, "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +398,12 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
                     "hess_scale > 0 requires a hess_noise_dir matrix")
             if self.hess_noise_dir.shape != (n, n):
                 raise InvalidProblemError("hess_noise_dir must match hess shape")
+        linalg = _linalg()
         try:
-            self._chol = cho_factor(self.hess, lower=True)[0]
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
+            self._chol = linalg.cho_factor(self.hess, lower=True)[0]
+        except np.linalg.LinAlgError as exc:   # scipy raises numpy's error
             raise InvalidProblemError("hess is not positive definite") from exc
+        self._potrs = linalg.lapack.dpotrs
         if np.linalg.eigvalsh(self.hess)[0] <= 0:
             raise InvalidProblemError("hess is not positive definite")
         tags = {TAG_LOWER_GRAD} if self.noise.sigma > 0.0 else set()
@@ -435,7 +463,7 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         # LAPACK's potrs, as scipy's cho_solve calls it, with its check
         # that b is finite but without its per-call overhead; the rows of a
         # stacked b are its right-hand sides, each with its 1-D bits
-        return dpotrs(self._chol, np.asarray_chkfinite(b).T, lower=1)[0].T
+        return self._potrs(self._chol, np.asarray_chkfinite(b).T, lower=1)[0].T
 
     def solve_lower_hess(self, x, y, rhs):
         """Solve H v = rhs; a leading row axis on y or rhs (or both) gives
@@ -767,13 +795,14 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
         hess_noise_dir = 0.5 * (hess_noise_dir + hess_noise_dir.T)
 
     # top curvature direction of the implicit part, for target placement
-    chol = cho_factor(hess, lower=True)
-    hinv_b = cho_solve(chol, coupling)
+    linalg = _linalg()
+    chol = linalg.cho_factor(hess, lower=True)
+    hinv_b = linalg.cho_solve(chol, coupling)
     w_mat = hinv_b @ hinv_b.T
     evals, evecs = np.linalg.eigh(w_mat)
     ridge_dir = evecs[:, -1]
 
-    y_at_origin = cho_solve(chol, offset)
+    y_at_origin = linalg.cho_solve(chol, offset)
     target = y_at_origin - (0.5 / kappa) * ridge_dir
     upper = PseudoHuberCosineUpper(target=target, cos_amp=0.01,
                                    huber_delta=0.5)
@@ -846,9 +875,10 @@ _FAMILIES = {cls.family: cls
              for cls in (QuadraticBilevelProblem, LogisticBilevelProblem)}
 
 # the fields written as their dataclass fields, and the reader of each
-_PART_READERS = {"upper": _upper_from_dict,
-                 "noise": lambda d: NoiseModel(**d),
-                 "constants": ProblemConstants.from_dict}
+_PART_READERS = {
+    "upper": _upper_from_dict,
+    "noise": lambda d: _from_fields(NoiseModel, d, "noise"),
+    "constants": lambda d: _from_fields(ProblemConstants, d, "constants")}
 
 
 def _json_default(o):
@@ -877,10 +907,11 @@ def problem_to_json(problem) -> str:
 
 
 def problem_from_json(text: str):
-    """The problem that ``problem_to_json`` wrote, from every field key of
-    its family's class; its dim_x and dim_y must match the arrays.  Any
-    other document raises InvalidProblemError; the constructors' own errors
-    pass through."""
+    """The problem that ``problem_to_json`` wrote: the document holds
+    exactly the keys that it writes, its family's and every field of the
+    family's class, and its dim_x and dim_y match the arrays.  Any other
+    document raises InvalidProblemError; the constructors' own errors pass
+    through."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -892,9 +923,8 @@ def problem_from_json(text: str):
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise InvalidProblemError(f"unknown problem family: {family!r}")
-    missing = [f.name for f in fields(cls) if f.name not in doc]
-    if missing:
-        raise InvalidProblemError(f"problem JSON lacks {', '.join(missing)}")
+    _check_keys(doc, {"family", "dim_x", "dim_y"}
+                | {f.name for f in fields(cls)}, "problem JSON")
     kwargs = {f.name: doc[f.name] for f in fields(cls)}
     try:
         for name, read in _PART_READERS.items():
@@ -906,9 +936,9 @@ def problem_from_json(text: str):
         raise InvalidProblemError(
             f"malformed problem JSON: {type(exc).__name__}: {exc}") from exc
     dims = (problem.dim_x, problem.dim_y)
-    if (doc.get("dim_x"), doc.get("dim_y")) != dims:
+    if (doc["dim_x"], doc["dim_y"]) != dims:
         raise InvalidProblemError(
-            f"dim_x, dim_y ({doc.get('dim_x')}, {doc.get('dim_y')}) disagree "
+            f"dim_x, dim_y ({doc['dim_x']}, {doc['dim_y']}) disagree "
             f"with the arrays' {dims}")
     return problem
 

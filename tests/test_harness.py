@@ -2,6 +2,7 @@
 algorithm presets, and the CLI contract (exit codes, determinism, config
 files)."""
 
+import hashlib
 import json
 import math
 import shlex
@@ -482,6 +483,25 @@ def test_cli_compare_includes_both_algorithms(tmp_path):
     lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
     algs = {line.split(",")[2] for line in lines[1:]}
     assert algs == {"ssaid", "multiloop:1:1"}
+
+
+def test_cli_artifact_names_carry_the_problem_hash(tmp_path):
+    # gen names its file by the sha256 of the text it writes; run and
+    # verify name theirs by the hash of the problem they read back
+    ppath = gen_problem(tmp_path)
+    digest = hashlib.sha256(ppath.read_bytes()).hexdigest()
+    assert ppath.name == f"problem_{digest[:12]}.json"
+    assert run_cli("run", "--problem", str(ppath), "--K", "20", "--seed", "1",
+                   "--out-dir", str(tmp_path)) == 0
+    run = json.loads((tmp_path / f"run_{digest[:10]}_seed1_K20.json")
+                     .read_text())
+    assert run["problem_sha256"] == digest
+    assert (tmp_path / f"trace_{digest[:10]}_seed1_K20.csv").exists()
+    assert run_cli("verify", "--problem", str(ppath), "--lemma", "v_bound",
+                   "--K", "20", "--out-dir", str(tmp_path)) == 0
+    lemma = json.loads(next(tmp_path.glob(f"lemma_*_{digest[:10]}.json"))
+                       .read_text())
+    assert lemma["problem_sha256"] == digest
 
 
 def test_cli_json_key_set_of_each_artifact(tmp_path):

@@ -1,5 +1,6 @@
 """No module of the package or of the tests imports a name it never uses,
-and no private module-level name of the package is left unreferenced.
+no private module-level name of the package is left unreferenced, and the
+logistic commands never load scipy.
 
 The toolchain has no linter, so this walks each module's syntax tree: a
 name bound by an import must appear as a name somewhere in the module or
@@ -11,6 +12,9 @@ outside its own definition, in the package, the tests or the benchmark.
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,40 @@ def test_dead_name_checker_flags_an_orphan():
            "_TABLE = {'a': _used}\n__all__ = []\n")
     assert dead_names(src) == ["_TABLE", "_orphan"]
     assert dead_names(src, {"_TABLE"}) == ["_orphan"]
+
+
+# run in a fresh interpreter, where no other test has imported scipy; it
+# prints whether scipy is loaded after each step
+_SCIPY_PROBE = """
+import sys
+from pathlib import Path
+
+import ssaid
+from ssaid.harness import main
+
+out = sys.argv[1]
+print("scipy after import", "scipy" in sys.modules)
+assert main(["gen", "--family", "logistic", "--dim", "3", "--rows", "12",
+             "--out-dir", out]) == 0
+problem = str(next(Path(out).glob("problem_*.json")))
+assert main(["run", "--problem", problem, "--K", "5", "--out-dir", out]) == 0
+assert main(["verify", "--problem", problem, "--all", "--replications", "8",
+             "--checkpoints", "1,5", "--out-dir", out]) in (0, 2)
+print("scipy after logistic", "scipy" in sys.modules)
+assert main(["gen", "--family", "quadratic", "--dim", "3", "--kappa", "5",
+             "--out-dir", out]) == 0
+print("scipy after quadratic", "scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_a_quadratic_problem(tmp_path):
+    # importing scipy.linalg is most of a command's start-up, and only the
+    # quadratic family's Cholesky solves call it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = [line for line in proc.stdout.splitlines()
+            if line.startswith("scipy after")]
+    assert seen == ["scipy after import False", "scipy after logistic False",
+                    "scipy after quadratic True"]

@@ -509,10 +509,18 @@ def test_json_writes_float_parameters_as_floats():
     lambda doc: {**doc, "family": ["quadratic"]},
     lambda doc: {**doc, "dim_x": 99},
     lambda doc: {**doc, "dim_y": 99},
+    lambda doc: {**doc, "cos_ampp": 5.0},
+    lambda doc: {**doc, "constants": {**doc["constants"], "cos_ampp": 5.0}},
+    lambda doc: {**doc, "constants": {**doc["constants"], "kappa": 99.0}},
+    lambda doc: {**doc, "upper": {**doc["upper"], "cos_ampp": 5.0}},
+    lambda doc: {**doc, "noise": {}},
 ], ids=["list", "no-seed", "noise-key", "noise-list", "constants-keys",
         "upper-string", "upper-keys", "ragged-hess", "family-list", "dim-x",
-        "dim-y"])
+        "dim-y", "top-extra", "constants-extra", "constants-kappa",
+        "upper-extra", "noise-missing"])
 def test_json_rejects_malformed_documents(edit):
+    # the reader accepts exactly the keys that the writer emits, and a
+    # derived key (kappa) only at its derived value
     doc = json.loads(problem_to_json(tiny_quadratic()))
     with pytest.raises(InvalidProblemError):
         problem_from_json(json.dumps(edit(doc)))
