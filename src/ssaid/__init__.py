@@ -6,9 +6,9 @@ from .baselines import MultiLoopConfig, multiloop_step, run_multiloop
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
-from .harness import (RateFit, SweepResult, SweepRow, SweepSpec,
-                      compare_algorithms, kappa_sweep, main, parse_algorithm,
-                      rate_fit, sweep_csv, sweep_summary_json)
+from .harness import (RateFit, SweepResult, SweepRow, SweepSpec, kappa_sweep,
+                      main, parse_algorithm, rate_fit, sweep_csv,
+                      sweep_summary_json)
 from .hypergradient import (DerivedConstants, StepSizes, beta_stability_cap,
                             compute_derived_constants, compute_l_phi,
                             default_step_sizes)

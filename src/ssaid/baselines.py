@@ -10,10 +10,8 @@ and the step sizes are the run's schedule (``RunConfig.steps``).  With
 addressing collapse to the single-loop method exactly, so the two produce
 bit-identical traces; that degeneracy doubles as an integration test.
 
-Oracle accounting per outer iteration: ``inner_iters`` lower gradients plus
-the shared upper-gradient sample plus one more gradient for the adjoint
-right-hand side (inner_iters + 2 total), and ``solver_iters`` Hessian
-products plus one cross (mixed second derivative) product.
+The oracle bill of an outer iteration is ``_oracle_bill(inner_iters,
+solver_iters)``, the single loop's (3, 2) at N = Q = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .hypergradient import check_lower_rates
 from .ssaid import (IterationTrace, RunConfig, SSAIDState, _advance,
-                    _record_trace, _setup)
+                    _oracle_bill, _record_trace, _setup)
 from .streams import StreamFactory
 
 __all__ = [
@@ -64,21 +62,17 @@ def multiloop_step(state: SSAIDState, problem, config: MultiLoopConfig,
                     range(config.solver_iters))[0]
 
 
-def _multiloop_start(problem, config: MultiLoopConfig, run: RunConfig):
-    """(step, initial state, per-step oracle bill) of a baseline run; the
-    lower and adjoint rates must be at most 1/L."""
-    state, factory = _setup(problem, run)
-    check_lower_rates(state.steps, problem.constants)
-    return ((lambda st: multiloop_step(st, problem, config, factory)), state,
-            (config.inner_iters + 2, config.solver_iters + 1))
-
-
 def run_multiloop(problem, config: MultiLoopConfig,
                   run: RunConfig) -> IterationTrace:
-    """Run the baseline for ``run.horizon`` outer iterations.
+    """Run the baseline for ``run.horizon`` outer iterations; the lower and
+    adjoint rates must be at most 1/L.
 
     Trace rows have the same schema as the single-loop runner; the oracle
     counters advance by inner_iters + 2 gradients and solver_iters + 1
     matrix-vector products per outer iteration.
     """
-    return _record_trace(problem, run, *_multiloop_start(problem, config, run))
+    state, factory, derived = _setup(problem, run)
+    check_lower_rates(state.steps, problem.constants)
+    return _record_trace(
+        problem, run, lambda st: multiloop_step(st, problem, config, factory),
+        state, _oracle_bill(config.inner_iters, config.solver_iters), derived)

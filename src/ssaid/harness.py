@@ -28,17 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import MultiLoopConfig, _multiloop_start
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
-from .hypergradient import StepSizes, compute_derived_constants
+from .hypergradient import StepSizes, check_lower_rates
 from .problems import (NoiseModel, _json_text, _row_dot,
                        make_logistic_problem, make_quadratic_problem,
                        problem_from_json, problem_hash, problem_to_json,
                        reference_solution)
-from .ssaid import (IterationTrace, RunConfig, _finite_rows, _ssaid_start,
-                    initial_vectors, iterate, run_ssaid)
+from .ssaid import (IterationTrace, RunConfig, _finite_rows, _oracle_bill,
+                    _setup, iterate, run_ssaid)
 from .streams import RowStreams
 from .verification import MCConfig, run_lemma_suite, summary_csv
 
@@ -49,7 +48,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "kappa_sweep",
-    "compare_algorithms",
     "parse_algorithm",
     "sweep_csv",
     "sweep_summary_json",
@@ -235,15 +233,13 @@ def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
     max_iters.  A check row makes one stacked reference solve over the
     running seeds, each row with its one-seed bits.
     """
-    config = RunConfig(seed=seeds[0], horizon=max_iters)
-    if kind == "ssaid":
-        _, state, counts = _ssaid_start(problem, config)
-    else:
-        _, state, counts = _multiloop_start(
-            problem, MultiLoopConfig(inner_iters=preset[0],
-                                     solver_iters=preset[1]), config)
+    state = _setup(problem, RunConfig(seed=seeds[0], horizon=max_iters))[0]
+    if kind == "multiloop":
+        check_lower_rates(state.steps, problem.constants)
     # the single loop's step is the baseline's at N = Q = 1
-    inner, solver = (range(n) for n in preset or (1, 1))
+    n, q = preset or (1, 1)
+    inner, solver = range(n), range(q)
+    cost = max(_oracle_bill(n, q))
     alpha, eta, beta = state.steps._arrays
     stride = max(1, max_iters // _SWEEP_CHECKS)
     streams = RowStreams(seeds)
@@ -268,7 +264,7 @@ def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
                     seed_ix = live[i]
                     totals[seed_ix] += sq
                     if totals[seed_ix] / n_checks <= epsilon:
-                        outcomes[seed_ix] = (int(max(counts) * (k + 1)), False)
+                        outcomes[seed_ix] = (cost * (k + 1), False)
                         keep[i] = False
         if not all(keep):
             live = [s for s, kept in zip(live, keep) if kept]
@@ -324,10 +320,9 @@ def kappa_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
-    noise = NoiseModel(sigma=spec.sigma) if spec.sigma > 0 else None
     problems = {kappa: make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,
                                               seed=spec.problem_seed,
-                                              noise=noise)
+                                              noise=NoiseModel(spec.sigma))
                 for kappa in spec.kappa_grid}
     groups = [(kappa, alg) for kappa in spec.kappa_grid
               for alg in spec.algorithms]
@@ -350,13 +345,6 @@ def kappa_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     rows.sort(key=lambda r: (r.kappa, r.seed, r.algorithm))
     medians, exponents = _summarize(rows, spec)
     return SweepResult(rows=rows, medians=medians, exponents=exponents)
-
-
-def compare_algorithms(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Matched-target oracle-count comparison; needs >= 2 algorithms."""
-    if len(spec.algorithms) < 2:
-        raise InvalidParameterError("comparison needs at least 2 algorithms")
-    return kappa_sweep(spec, threads=threads)
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -455,8 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = _command(subs, "verify", "Monte-Carlo bound checks", seed)
     ver.add_argument("--problem", help="problem JSON (required)")
-    ver.add_argument("--all", action="store_true", help="every check")
-    ver.add_argument("--lemma", help="one lemma id; None: every check")
+    which = ver.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="every check")
+    which.add_argument("--lemma", help="one lemma id; None: every check")
     ver.add_argument("--K", type=int, dest="horizon",
                      help="iterations; None: the last checkpoint")
     ver.add_argument("--replications", type=int, default=500, help="branches")
@@ -545,10 +534,8 @@ def _read(args, name: str) -> str:
 def _cmd_gen(args) -> int:
     dim_x = args.dim if args.dim_x is None else args.dim_x
     dim_y = args.dim if args.dim_y is None else args.dim_y
-    noise = None
-    if args.sigma or args.radius or args.hess_scale:
-        noise = NoiseModel(sigma=args.sigma, radius=args.radius,
-                           hess_scale=args.hess_scale)
+    noise = NoiseModel(sigma=args.sigma, radius=args.radius,
+                       hess_scale=args.hess_scale)
     if args.family == "quadratic":
         problem = make_quadratic_problem(dim_x, dim_y, args.kappa,
                                          noise=noise, seed=args.seed)
@@ -584,10 +571,7 @@ def _cmd_run(args) -> int:
     digest = problem_hash(problem)
     tag = f"{digest[:10]}_seed{seed}_K{horizon}"
     _emit(out / f"trace_{tag}.csv", trace.csv_text())
-    constants = problem.constants
-    v0 = initial_vectors(problem, config)[2]
-    derived = compute_derived_constants(constants,
-                                        v0_norm=float(np.linalg.norm(v0)))
+    constants, derived = problem.constants, trace.derived
     meta = {
         "schema": "ssaid-run-v1",
         "problem_sha256": digest,
@@ -615,9 +599,8 @@ def _cmd_verify(args) -> int:
                   checkpoints=args.checkpoints, base_seed=args.mc_seed)
     horizon = max(args.checkpoints) if args.horizon is None else args.horizon
     config = RunConfig(seed=args.seed, horizon=horizon)
-    lemma = None if args.all else args.lemma
-    reports = run_lemma_suite(problem, config, mc, lemma)
-    name = "all" if lemma is None else reports[0].lemma_id
+    reports = run_lemma_suite(problem, config, mc, args.lemma)
+    name = "all" if args.lemma is None else reports[0].lemma_id
     digest = problem_hash(problem)
     stem = f"lemma_{name}_{digest[:10]}"
     out = _out_dir(args)
@@ -644,8 +627,9 @@ def _cmd_sweep(args) -> int:
                      dim_y=args.dim, sigma=args.sigma,
                      problem_seed=args.problem_seed)
     name = args.command
-    run = compare_algorithms if name == "compare" else kappa_sweep
-    result = run(spec, threads=args.threads)
+    if name == "compare" and len(spec.algorithms) < 2:
+        raise InvalidParameterError("comparison needs at least 2 algorithms")
+    result = kappa_sweep(spec, threads=args.threads)
     out = _out_dir(args)
     _emit(out / f"{name}.csv", sweep_csv(result))
     _emit(out / f"{name}_summary.json", sweep_summary_json(result, spec))

@@ -745,7 +745,7 @@ class LogisticBilevelProblem(_BilevelProblemBase):
 
 
 def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
-                           noise: NoiseModel | None = None,
+                           noise: NoiseModel = NoiseModel(),
                            seed: int = 0) -> QuadraticBilevelProblem:
     """Random quadratic instance with exact condition number ``kappa``.
 
@@ -769,7 +769,6 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
     if dim_y == 1 and kappa > 1:
         raise InvalidParameterError(
             "a 1-D lower level cannot attain both mu=1 and L=kappa>1")
-    noise = noise or NoiseModel()
 
     rng = np.random.default_rng(seed)
     if dim_y == 1:
@@ -813,12 +812,11 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
 
 def make_logistic_problem(dim_x: int, dim_y: int, n_rows: int, seed: int = 0, *,
                           reg: float = 1.0, batch_size: int = 4,
-                          noise: NoiseModel | None = None
+                          noise: NoiseModel = NoiseModel()
                           ) -> LogisticBilevelProblem:
     """Random ridge-logistic instance; rho > 0 by construction."""
     if min(dim_x, dim_y, n_rows) < 1:
         raise InvalidParameterError("dimensions and n_rows must be >= 1")
-    noise = noise or NoiseModel()
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_rows, dim_y)) / math.sqrt(dim_y)
     cross_rows = rng.standard_normal((n_rows, dim_x)) / math.sqrt(dim_x)

@@ -17,13 +17,15 @@ row has the bytes of its one-row solve.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
-from .hypergradient import StepSizes, compute_derived_constants, default_step_sizes
+from .hypergradient import (DerivedConstants, StepSizes,
+                            compute_derived_constants, default_step_sizes)
 from .problems import _SOLVE_BLOCK, _row_dot, _row_norm, reference_solution
 from .streams import (
     TAG_CROSS_OP,
@@ -49,9 +51,6 @@ TRACE_COLUMNS = ("k", "grad_phi_sq", "y_err", "v_err", "v_norm",
                  "x_step_norm", "phi", "gc_count", "mv_count")
 # each column's type; the CSV holds the header, then the values' reprs
 _TRACE_TYPES = (int,) + (float,) * 6 + (int, int)
-
-GC_PER_STEP = 3
-MV_PER_STEP = 2
 
 
 @dataclass
@@ -95,6 +94,15 @@ class RunConfig:
 # baseline and the verifier's history replays and branches
 
 _ONCE = range(1)  # prebuilt: a range per iteration shows in the sweep
+
+
+def _oracle_bill(inner: int, solver: int) -> tuple:
+    """(gradient, matrix-vector) oracle calls of one ``iterate`` call with
+    ``inner`` lower steps and ``solver`` adjoint steps: the lower gradients
+    plus the upper-gradient sample plus one more gradient for the adjoint
+    right-hand side, and the Hessian products plus one cross product.  The
+    single loop is the (1, 1) case: (3, 2)."""
+    return inner + 2, solver + 1
 
 
 def iterate(problem, factory: StreamFactory, k, x, y, v, alpha, eta, inner,
@@ -184,13 +192,15 @@ class IterationTrace:
     mv_count: np.ndarray
     final_state: SSAIDState | None = field(default=None, compare=False)
     steps: StepSizes | None = field(default=None, compare=False)
+    derived: DerivedConstants | None = field(default=None, compare=False)
 
     @classmethod
-    def from_rows(cls, rows, final_state=None, steps=None) -> "IterationTrace":
+    def from_rows(cls, rows, final_state=None, steps=None,
+                  derived=None) -> "IterationTrace":
         cols = list(zip(*rows)) if rows else [[] for _ in TRACE_COLUMNS]
         return cls(**{name: np.asarray(col).astype(kind) for name, kind, col
                       in zip(TRACE_COLUMNS, _TRACE_TYPES, cols)},
-                   final_state=final_state, steps=steps)
+                   final_state=final_state, steps=steps, derived=derived)
 
     @property
     def n_rows(self) -> int:
@@ -243,12 +253,9 @@ def initial_vectors(problem, config: RunConfig):
 
 
 def resolve_step_sizes(problem, config: RunConfig, v0: np.ndarray) -> StepSizes:
-    if isinstance(config.steps, StepSizes):
-        return config.steps
-    derived = compute_derived_constants(problem.constants,
-                                        v0_norm=float(np.linalg.norm(v0)))
-    return default_step_sizes(derived, problem.constants,
-                              horizon_k=max(config.horizon, 1))
+    """The step sizes of a run of ``config`` started from the adjoint
+    iterate ``v0``: the explicit ones, or the automatic schedule."""
+    return _setup(problem, dataclasses.replace(config, v0=v0))[0].steps
 
 
 def _reference_rows(problem, buffered, counts):
@@ -271,11 +278,12 @@ def _reference_rows(problem, buffered, counts):
 
 
 def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
-                  counts) -> IterationTrace:
+                  counts, derived: DerivedConstants) -> IterationTrace:
     """Advance ``state`` by ``config.horizon`` calls of ``step``, with a
     reference row after every stride-th and the final step; ``counts`` is
-    the per-iteration (gradient, matrix-vector) oracle bill.  Horizon 0
-    records the initial point.  Rows are buffered and solved in blocks of
+    the per-iteration oracle bill (``_oracle_bill``) and ``derived`` the
+    run's constants, which the trace carries.  Horizon 0 records the
+    initial point.  Rows are buffered and solved in blocks of
     ``_SOLVE_BLOCK``; a DivergenceError leaves carrying every row recorded
     before it."""
     steps, horizon, stride = state.steps, config.horizon, config.stride
@@ -297,29 +305,30 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
     except DivergenceError as err:
         flush()
         err.trace = IterationTrace.from_rows(rows, final_state=err.state,
-                                             steps=steps)
+                                             steps=steps, derived=derived)
         raise
     flush()
     if not rows:
         # the initial point, with no step taken and no oracle called
         pending.append((0, state.x, state))
         flush((0, 0))
-    return IterationTrace.from_rows(rows, final_state=state, steps=steps)
+    return IterationTrace.from_rows(rows, final_state=state, steps=steps,
+                                    derived=derived)
 
 
 def _setup(problem, config: RunConfig):
-    """(initial state, stream factory) of a run from ``config``."""
+    """(initial state, stream factory, derived constants) of a run of
+    ``config``: the start vectors, the explicit or automatic step sizes,
+    and the constants derived from ||v0||.  Every runner starts here."""
     x0, y0, v0 = initial_vectors(problem, config)
-    state = SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0,
-                       steps=resolve_step_sizes(problem, config, v0))
-    return state, StreamFactory(config.seed)
-
-
-def _ssaid_start(problem, config: RunConfig):
-    """(step, initial state, per-step oracle bill) of a single-loop run."""
-    state, factory = _setup(problem, config)
-    return ((lambda st: ssaid_step(st, problem, factory)), state,
-            (GC_PER_STEP, MV_PER_STEP))
+    derived = compute_derived_constants(problem.constants,
+                                        v0_norm=float(np.linalg.norm(v0)))
+    steps = config.steps
+    if not isinstance(steps, StepSizes):
+        steps = default_step_sizes(derived, problem.constants,
+                                   horizon_k=max(config.horizon, 1))
+    return (SSAIDState(x=x0, y_hat=y0, v_hat=v0, k=0, steps=steps),
+            StreamFactory(config.seed), derived)
 
 
 def run_ssaid(problem, config: RunConfig) -> IterationTrace:
@@ -329,5 +338,7 @@ def run_ssaid(problem, config: RunConfig) -> IterationTrace:
     nonfinite iterate aborts with a DivergenceError carrying the rows
     recorded so far.
     """
-    return _record_trace(problem, config, *_ssaid_start(problem, config))
-
+    state, factory, derived = _setup(problem, config)
+    return _record_trace(problem, config,
+                         lambda st: ssaid_step(st, problem, factory), state,
+                         _oracle_bill(1, 1), derived)

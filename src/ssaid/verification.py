@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .hypergradient import (DerivedConstants, StepSizes, check_lower_rates,
-                            compute_derived_constants)
+from .hypergradient import DerivedConstants, StepSizes, check_lower_rates
 from .problems import ProblemConstants, ReferenceSolution, reference_solution
 from .ssaid import (_ONCE, IterationTrace, RunConfig, _advance, _setup,
-                    initial_vectors, iterate, run_ssaid)
+                    iterate, run_ssaid)
 from .streams import BRANCH_SLOT, StreamFactory
 
 __all__ = [
@@ -215,7 +214,7 @@ def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
     """Replay the run's steps, capturing the per-iteration upper-gradient
     sample alongside the iterates.  Stream addresses match the runner
     exactly."""
-    state, factory = _setup(problem, config)
+    state, factory, _ = _setup(problem, config)
     hist = _History(xs=[state.x], ys=[state.y_hat], vs=[state.v_hat], gys=[])
     for _ in range(horizon):
         state, gy = _advance(state, problem, factory, _ONCE, _ONCE)
@@ -253,14 +252,12 @@ def _require(cond: bool, msg: str):
 
 def _resolve_inputs(problem, config: RunConfig, mc: MCConfig,
                     need_beta_cap: bool = False):
-    state, _ = _setup(problem, config)
+    state, _, derived = _setup(problem, config)
     steps = state.steps
     c = problem.constants
     check_lower_rates(steps, c)
     _require(mc.checkpoints[-1] <= config.horizon,
              "checkpoints must not exceed the run horizon")
-    derived = compute_derived_constants(
-        c, v0_norm=float(np.linalg.norm(state.v_hat)))
     if need_beta_cap:
         cap = c.mu * steps.alpha / (4.0 * derived.c1)
         _require(steps.beta <= cap * (1.0 + 1e-12),
@@ -583,11 +580,8 @@ def _geom_sum_report(mc: MCConfig) -> LemmaReport:
 
 
 def _v_bound_report(problem, config: RunConfig) -> LemmaReport:
-    _, _, v0 = initial_vectors(problem, config)
-    derived = compute_derived_constants(problem.constants,
-                                        v0_norm=float(np.linalg.norm(v0)))
     trace = run_ssaid(problem, dataclasses.replace(config, stride=1))
-    return check_v_bound(trace, problem.constants, derived)
+    return check_v_bound(trace, problem.constants, trace.derived)
 
 
 # the suite in report order: (check, the ids of the reports it returns).

@@ -20,7 +20,7 @@ import numpy as np
 
 import ssaid
 from ssaid.baselines import MultiLoopConfig, run_multiloop
-from ssaid.harness import SweepSpec, compare_algorithms, kappa_sweep, rate_fit
+from ssaid.harness import SweepSpec, kappa_sweep, rate_fit
 from ssaid.hypergradient import StepSizes, compute_derived_constants
 from ssaid.problems import (NoiseModel, make_quadratic_problem,
                             reference_solution)
@@ -163,7 +163,7 @@ def test_single_loop_cheaper_than_multiloop_at_matched_target():
     spec = SweepSpec(kappa_grid=(10.0,), seeds=(0, 1, 2, 3, 4), epsilon=0.1,
                      max_iters=4_000_000, algorithms=("ssaid", "multiloop"),
                      dim_x=10, dim_y=10, sigma=1.0)
-    result = compare_algorithms(spec, threads=4)
+    result = kappa_sweep(spec, threads=4)
     med = {m["algorithm"]: m["median"] for m in result.medians}
     assert med["ssaid"] is not None and med["multiloop"] is not None
     assert med["ssaid"] <= med["multiloop"], med

@@ -3,10 +3,12 @@ import pytest
 
 from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import DivergenceError, InvalidParameterError
-from ssaid.hypergradient import StepSizes
-from ssaid.problems import (NoiseModel, make_logistic_problem,
+from ssaid.hypergradient import StepSizes, compute_derived_constants
+from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
+                            QuadraticBilevelProblem, make_logistic_problem,
                             make_quadratic_problem, reference_solution)
-from ssaid.ssaid import RunConfig, initial_vectors, resolve_step_sizes, run_ssaid
+from ssaid.ssaid import (RunConfig, _oracle_bill, initial_vectors,
+                         resolve_step_sizes, run_ssaid)
 
 
 def noisy_quadratic(seed=5):
@@ -72,6 +74,46 @@ def test_asymmetric_loop_counts():
                        run)
     assert int(tr.gc_count[-1]) == (3 + 2) * 4
     assert int(tr.mv_count[-1]) == (8 + 1) * 4
+
+
+def run_loops(loops, prob, run):
+    """The single loop for ``loops`` None, else the (N, Q) baseline."""
+    if loops is None:
+        return run_ssaid(prob, run)
+    return run_multiloop(prob, MultiLoopConfig(*loops), run)
+
+
+@pytest.mark.parametrize("loops", [None, (1, 1), (2, 3), (4, 1)],
+                         ids=["ssaid", "multiloop:1:1", "multiloop:2:3",
+                              "multiloop:4:1"])
+def test_trace_carries_the_set_up_and_the_bill(loops):
+    assert _oracle_bill(1, 1) == (3, 2)
+    gc, mv = _oracle_bill(*loops or (1, 1))
+    prob, v0 = noisy_quadratic(), np.array([0.3, -0.4, 1.2])
+    want = compute_derived_constants(prob.constants,
+                                     v0_norm=float(np.linalg.norm(v0)))
+    tr = run_loops(loops, prob, RunConfig(seed=3, horizon=6, v0=v0))
+    assert tr.derived == want and want.v0_norm > 0
+    assert np.array_equal(tr.gc_count, gc * (np.arange(6) + 1))
+    assert np.array_equal(tr.mv_count, mv * (np.arange(6) + 1))
+
+    # a diverging run's trace carries them too, with explicit step sizes
+    prob = QuadraticBilevelProblem(hess=np.eye(2), coupling=np.eye(2),
+                                   offset=np.zeros(2),
+                                   upper=PlainQuadraticUpper(target=np.zeros(2)))
+    v0 = np.array([0.5, -2.0])
+    run = RunConfig(seed=7, horizon=10_000, x0=[1.0, -1.0], v0=v0,
+                    steps=StepSizes(alpha=1.0, eta=1.0, beta=50.0,
+                                    horizon_k=10_000))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            run_loops(loops, prob, run)
+    tr = info.value.trace
+    assert tr.derived == compute_derived_constants(
+        prob.constants, v0_norm=float(np.linalg.norm(v0)))
+    assert tr.n_rows == info.value.iteration > 0
+    assert np.array_equal(tr.gc_count, gc * (tr.k + 1))
+    assert np.array_equal(tr.mv_count, mv * (tr.k + 1))
 
 
 def test_zero_horizon_trace():

@@ -14,9 +14,8 @@ import pytest
 from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import InsufficientDataError, InvalidParameterError
 from ssaid.harness import (RateFit, SweepSpec, _build_parser, _run_to_epsilon,
-                           compare_algorithms, kappa_sweep, main,
-                           parse_algorithm, rate_fit, sweep_csv,
-                           sweep_summary_json)
+                           kappa_sweep, main, parse_algorithm, rate_fit,
+                           sweep_csv, sweep_summary_json)
 from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
                             QuadraticBilevelProblem, make_quadratic_problem,
                             problem_to_json)
@@ -214,9 +213,12 @@ def test_cell_complexity_matches_brute_force_on_trace():
             (want, False)
 
 
-def test_compare_requires_two_algorithms():
-    with pytest.raises(InvalidParameterError):
-        compare_algorithms(small_spec(algorithms=("ssaid",)))
+def test_compare_requires_two_algorithms(tmp_path, capsys):
+    assert main(["compare", "--algorithms", "ssaid", "--kappa-grid", "2",
+                 "--seeds", "0", "--max-iters", "10",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "comparison needs at least 2 algorithms" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_compare_degenerate_multiloop_matches_ssaid():
@@ -224,7 +226,7 @@ def test_compare_degenerate_multiloop_matches_ssaid():
     # and its oracle cost max(N+2, Q+1) = 3 matches too
     spec = small_spec(kappa_grid=(2.0,), seeds=(0, 1),
                       algorithms=("ssaid", "multiloop:1:1"))
-    result = compare_algorithms(spec)
+    result = kappa_sweep(spec)
     by_alg = {}
     for r in result.rows:
         by_alg.setdefault(r.algorithm, []).append(r.complexity)
@@ -365,6 +367,23 @@ def test_cli_unknown_lemma_exits_one(tmp_path):
     ppath = gen_problem(tmp_path)
     assert run_cli("verify", "--problem", str(ppath), "--lemma", "bogus",
                    "--out-dir", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("config, flags", [
+    (None, ("--all", "--lemma", "v_bound")),
+    ({"all": True}, ("--lemma", "v_bound")),
+], ids=["flags", "config-all"])
+def test_cli_verify_all_and_lemma_exit_one(config, flags, tmp_path, capsys):
+    ppath = gen_problem(tmp_path)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ("--config", str(cfg), *flags)
+    capsys.readouterr()
+    assert run_cli("verify", "--problem", str(ppath), *flags, *TINY_VERIFY,
+                   "--out-dir", str(tmp_path / "out")) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_single_lemma(tmp_path):
