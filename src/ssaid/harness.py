@@ -91,6 +91,8 @@ def rate_fit(trace: IterationTrace, k_window) -> RateFit:
     if not 1 <= k_min < k_max:
         raise InvalidParameterError("need 1 <= k_min < k_max")
     counts = np.asarray(trace.k, dtype=float) + 1.0
+    if not counts.size:
+        raise InsufficientDataError("the trace has no rows")
     if counts[0] > k_min or counts[-1] < k_max:
         raise InvalidParameterError(
             f"trace rows cover k in [{int(counts[0])}, {int(counts[-1])}], "
@@ -98,9 +100,10 @@ def rate_fit(trace: IterationTrace, k_window) -> RateFit:
     ra = trace.running_average()
     mask = (counts >= k_min) & (counts <= k_max)
     idx = np.nonzero(mask)[0]
-    if idx.size >= 3 and np.any(ra[idx] <= 0.0):
+    # a NaN fails both comparisons
+    if idx.size >= 3 and not np.all((ra[idx] > 0.0) & (ra[idx] < math.inf)):
         raise InvalidParameterError(
-            "running average must be positive on the window")
+            "running average must be finite and positive on the window")
     targets = np.geomspace(k_min, k_max, _FIT_POINTS)
     pick = idx[np.searchsorted(counts[idx], targets).clip(0, idx.size - 1)]
     pick = np.unique(pick)

@@ -58,7 +58,8 @@ REFERENCE_TOL = 1e-12
 
 
 def _finite(*vals) -> bool:
-    return all(np.isfinite(v) for v in vals)
+    """Whether every scalar and every array entry of ``vals`` is finite."""
+    return all(np.all(np.isfinite(v)) for v in vals)
 
 
 def _linalg():
@@ -191,6 +192,9 @@ class PseudoHuberCosineUpper:
         _float_fields(self)
         if self.target.ndim != 1:
             raise InvalidParameterError("target must be a vector")
+        if not _finite(self.target, self.cos_amp, self.cos_freq,
+                       self.huber_delta):
+            raise InvalidProblemError("upper objective data must be finite")
         if self.huber_delta <= 0:
             raise InvalidParameterError("huber_delta must be positive")
         if self.cos_amp < 0 or self.cos_freq < 0:
@@ -243,6 +247,8 @@ class PlainQuadraticUpper:
         _float_fields(self)
         if self.target.ndim != 1:
             raise InvalidParameterError("target must be a vector")
+        if not _finite(self.target, self.x_weight):
+            raise InvalidProblemError("upper objective data must be finite")
         if self.x_weight < 0:
             raise InvalidParameterError("x_weight must be >= 0")
 
@@ -381,6 +387,12 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         self.hess = np.asarray(self.hess, dtype=float)
         self.coupling = np.asarray(self.coupling, dtype=float)
         self.offset = np.asarray(self.offset, dtype=float)
+        arrays = [self.hess, self.coupling, self.offset]
+        if self.hess_noise_dir is not None:
+            self.hess_noise_dir = np.asarray(self.hess_noise_dir, dtype=float)
+            arrays.append(self.hess_noise_dir)
+        if not _finite(*arrays):
+            raise InvalidProblemError("problem arrays must be finite")
         n = self.hess.shape[0]
         if self.hess.shape != (n, n):
             raise InvalidProblemError("hess must be square")
@@ -390,8 +402,6 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
             raise InvalidProblemError("coupling must be (dim_y, dim_x)")
         if self.offset.shape != (n,):
             raise InvalidProblemError("offset must be a dim_y vector")
-        if self.hess_noise_dir is not None:
-            self.hess_noise_dir = np.asarray(self.hess_noise_dir, dtype=float)
         if self.noise.hess_scale > 0.0:
             if self.hess_noise_dir is None:
                 raise InvalidProblemError(
@@ -551,6 +561,8 @@ class LogisticBilevelProblem(_BilevelProblemBase):
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.cross_rows = np.asarray(self.cross_rows, dtype=float)
+        if not _finite(self.features, self.cross_rows):
+            raise InvalidProblemError("problem arrays must be finite")
         if self.features.ndim != 2 or self.cross_rows.ndim != 2:
             raise InvalidProblemError("features and cross_rows must be matrices")
         if self.features.shape[0] != self.cross_rows.shape[0]:
@@ -764,8 +776,8 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
     """
     if dim_x < 1 or dim_y < 1:
         raise InvalidParameterError("dimensions must be >= 1")
-    if kappa < 1:
-        raise InvalidParameterError(f"kappa must be >= 1, got {kappa}")
+    if not 1 <= kappa < math.inf:
+        raise InvalidParameterError(f"kappa must be finite and >= 1, got {kappa}")
     if dim_y == 1 and kappa > 1:
         raise InvalidParameterError(
             "a 1-D lower level cannot attain both mu=1 and L=kappa>1")
@@ -777,8 +789,9 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
     else:
         eigs = kappa ** (np.arange(dim_y) / (dim_y - 1.0))
         q, _ = np.linalg.qr(rng.standard_normal((dim_y, dim_y)))
-    hess = (q * eigs) @ q.T
-    hess = 0.5 * (hess + hess.T)
+    with np.errstate(over="ignore"):   # an overflowed H is refused below
+        hess = (q * eigs) @ q.T
+        hess = 0.5 * (hess + hess.T)
 
     qb, _ = np.linalg.qr(rng.standard_normal((max(dim_y, dim_x), min(dim_y, dim_x))))
     qb = qb if dim_y >= dim_x else qb.T
@@ -795,7 +808,12 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
 
     # top curvature direction of the implicit part, for target placement
     linalg = _linalg()
-    chol = linalg.cho_factor(hess, lower=True)
+    try:
+        chol = linalg.cho_factor(hess, lower=True)
+    except ValueError as exc:   # numpy's LinAlgError is a ValueError too
+        raise InvalidParameterError(
+            f"kappa={kappa} is too large: H overflows or is not numerically "
+            f"positive definite") from exc
     hinv_b = linalg.cho_solve(chol, coupling)
     w_mat = hinv_b @ hinv_b.T
     evals, evecs = np.linalg.eigh(w_mat)

@@ -225,24 +225,14 @@ def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
     return hist
 
 
-@dataclass
-class _Branch:
-    y: np.ndarray        # (R, dim_y) lower iterates after the branch step
-    v: np.ndarray        # (R, dim_y) adjoint iterates after the branch step
-    est: np.ndarray      # (R, dim_x) hypergradient estimates
-    target: np.ndarray   # (R, dim_y) per-draw adjoint solves at the iterates
-
-
 def _branch_iteration(problem, steps: StepSizes, hist: _History, k: int,
-                      mc: MCConfig) -> _Branch:
+                      mc: MCConfig) -> tuple:
     """Rerun iteration k from the shared history with R independent draw
-    sets, all addressed at the reserved branch slot of mc.base_seed."""
-    x_k = hist.xs[k]
-    ys, vs, gy, est = iterate(
-        problem, StreamFactory(mc.base_seed), k, x_k, hist.ys[k], hist.vs[k],
-        steps.alpha, steps.eta, _ONCE, _ONCE, BRANCH_SLOT, mc.replications)
-    target = problem.solve_lower_hess(x_k, ys, gy)
-    return _Branch(y=ys, v=vs, est=est, target=target)
+    sets, all addressed at the reserved branch slot of mc.base_seed:
+    ``iterate``'s (y, v, gy, est), each with a leading R axis."""
+    return iterate(problem, StreamFactory(mc.base_seed), k, hist.xs[k],
+                   hist.ys[k], hist.vs[k], steps.alpha, steps.eta, _ONCE,
+                   _ONCE, BRANCH_SLOT, mc.replications)
 
 
 def _require(cond: bool, msg: str):
@@ -250,19 +240,12 @@ def _require(cond: bool, msg: str):
         raise InvalidParameterError(msg)
 
 
-def _resolve_inputs(problem, config: RunConfig, mc: MCConfig,
-                    need_beta_cap: bool = False):
+def _resolve_inputs(problem, config: RunConfig, mc: MCConfig):
     state, _, derived = _setup(problem, config)
-    steps = state.steps
-    c = problem.constants
-    check_lower_rates(steps, c)
+    check_lower_rates(state.steps, problem.constants)
     _require(mc.checkpoints[-1] <= config.horizon,
              "checkpoints must not exceed the run horizon")
-    if need_beta_cap:
-        cap = c.mu * steps.alpha / (4.0 * derived.c1)
-        _require(steps.beta <= cap * (1.0 + 1e-12),
-                 "this check needs beta <= mu*alpha/(4*C1)")
-    return steps, derived
+    return state.steps, derived
 
 
 def _ref_cache(problem, hist: _History, ts):
@@ -295,8 +278,8 @@ def check_lower_tracking(problem, config: RunConfig,
                                      for t in (k, max(k - 1, 0))])
     rows = []
     for k in mc.checkpoints:
-        branch = _branch_iteration(problem, steps, hist, k, mc)
-        q = np.sum((branch.y - ref(k).y_star) ** 2, axis=1)
+        y = _branch_iteration(problem, steps, hist, k, mc)[0]
+        q = np.sum((y - ref(k).y_star) ** 2, axis=1)
         lhs = math.sqrt(float(q.mean()))
         se = jackknife_se(np.sqrt(loo_mean(q)))
         prev = max(k - 1, 0)  # at k = 0: the start, and no x step
@@ -326,12 +309,14 @@ def check_bias_recursions(problem, config: RunConfig, mc: MCConfig) -> list:
     decoupling, bias_rec, drift, contraction = [], [], [], []
     skipped_zero = False
     for k in mc.checkpoints:
-        branch = _branch_iteration(problem, steps, hist, k, mc)
-        v_loo = loo_mean(branch.v)
-        t_loo = loo_mean(branch.target)
-        v_bar = branch.v.mean(axis=0)
-        t_bar = branch.target.mean(axis=0)
-        y_gap = _norms(branch.y - ref(k).y_star)
+        y, v, gy, _ = _branch_iteration(problem, steps, hist, k, mc)
+        # the per-draw adjoint solves at the branch iterates
+        target = problem.solve_lower_hess(hist.xs[k], y, gy)
+        v_loo = loo_mean(v)
+        t_loo = loo_mean(target)
+        v_bar = v.mean(axis=0)
+        t_bar = target.mean(axis=0)
+        y_gap = _norms(y - ref(k).y_star)
         gap_bar = float(y_gap.mean())
         gap_loo = loo_mean(y_gap)
 
@@ -364,14 +349,14 @@ def check_bias_recursions(problem, config: RunConfig, mc: MCConfig) -> list:
         bias_rec.append(_mc_row(k, lhs, se, rhs))
 
         # drift of the sampled target across one iteration
-        d = _norms(branch.target - t_prev)
+        d = _norms(target - t_prev)
         lhs = float(d.mean())
         se = jackknife_se(loo_mean(d))
         rhs = c0 * x_step + (alpha * big_m * c0 + 2.0 * big_m / mu)
         drift.append(_mc_row(k, lhs, se, rhs))
 
         # mean-square contraction with drift, noise, and variance floors
-        sq = np.sum((branch.v - branch.target) ** 2, axis=1)
+        sq = np.sum((v - target) ** 2, axis=1)
         lhs = float(sq.mean())
         se = jackknife_se(loo_mean(sq))
         prev_sq = float(np.sum((v_prev - t_prev) ** 2))
@@ -404,15 +389,16 @@ def check_bias_recursions(problem, config: RunConfig, mc: MCConfig) -> list:
     return reports
 
 
-def _composite(problem, derived, branch, ref_k) -> tuple:
-    """Composite tracking quantity and its leave-one-out values."""
+def _composite(problem, derived, ref_k, y, v, target) -> tuple:
+    """Composite tracking quantity of branch draws (y, v) with their
+    per-draw adjoint solves ``target``, and its leave-one-out values."""
     big_l = problem.constants.lipschitz_L
-    y_gap = _norms(branch.y - ref_k.y_star)
+    y_gap = _norms(y - ref_k.y_star)
     full = (derived.c2 * float(y_gap.mean())
-            + big_l * float(np.linalg.norm(branch.v.mean(axis=0)
-                                           - branch.target.mean(axis=0))))
+            + big_l * float(np.linalg.norm(v.mean(axis=0)
+                                           - target.mean(axis=0))))
     loo = (derived.c2 * loo_mean(y_gap)
-           + big_l * _norms(loo_mean(branch.v) - loo_mean(branch.target)))
+           + big_l * _norms(loo_mean(v) - loo_mean(target)))
     return full, loo
 
 
@@ -427,11 +413,13 @@ def _initial_composite(problem, derived, hist: _History, ref) -> float:
 def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:
     """The squared composite tracking bound plus the two pointwise
     hypergradient error bounds it feeds."""
-    steps, derived = _resolve_inputs(problem, config, mc, need_beta_cap=True)
+    steps, derived = _resolve_inputs(problem, config, mc)
     c = problem.constants
     mu, big_l, big_m = c.mu, c.lipschitz_L, c.lipschitz_M
     alpha, beta = steps.alpha, steps.beta
-    c1, c2 = derived.c1, derived.c2
+    c1 = derived.c1
+    _require(beta <= mu * alpha / (4.0 * c1) * (1.0 + 1e-12),
+             "this check needs beta <= mu*alpha/(4*C1)")
     c_beta = derived.c_beta(c, alpha, beta)
     horizon = max(mc.checkpoints)
     hist = _simulate_history(problem, config, max(horizon, 1))
@@ -443,8 +431,10 @@ def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:
     coupled, bias_rows, mse_rows = [], [], []
     base_case = False
     for k in mc.checkpoints:
-        branch = _branch_iteration(problem, steps, hist, k, mc)
-        comp, comp_loo = _composite(problem, derived, branch, ref(k))
+        y, v, gy, est = _branch_iteration(problem, steps, hist, k, mc)
+        comp, comp_loo = _composite(
+            problem, derived, ref(k), y, v,
+            problem.solve_lower_hess(hist.xs[k], y, gy))
         if k == 0:
             # zero recursion steps: both sides are the realized initial
             # composite squared
@@ -465,16 +455,16 @@ def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:
             coupled.append(_mc_row(k, lhs, se, rhs))
 
         grad_phi = ref(k).grad_phi
-        est_loo = loo_mean(branch.est)
+        est_loo = loo_mean(est)
 
-        lhs = float(np.linalg.norm(branch.est.mean(axis=0) - grad_phi))
+        lhs = float(np.linalg.norm(est.mean(axis=0) - grad_phi))
         se = jackknife_se(comp_loo - _norms(est_loo - grad_phi))
         bias_rows.append(_mc_row(k, lhs, se, comp))
 
-        err = _norms(branch.est - grad_phi)
-        vn_loo = loo_mean(_norms(branch.v))
+        err = _norms(est - grad_phi)
+        vn_loo = loo_mean(_norms(v))
         lhs = float(err.mean())
-        rhs = comp + 2.0 * big_m + 2.0 * big_l * float(_norms(branch.v).mean())
+        rhs = comp + 2.0 * big_m + 2.0 * big_l * float(_norms(v).mean())
         rhs_loo = comp_loo + 2.0 * big_m + 2.0 * big_l * vn_loo
         se = jackknife_se(rhs_loo - loo_mean(err))
         mse_rows.append(_mc_row(k, lhs, se, rhs))
@@ -522,13 +512,13 @@ def check_cumulative_bounds(problem, config: RunConfig,
 
     bias_terms, mse_terms, bias_var, mse_var, grad_sq = [], [], [], [], []
     for el in range(k_max):
-        branch = _branch_iteration(problem, steps, hist, el, mc)
+        est = _branch_iteration(problem, steps, hist, el, mc)[3]
         gphi = ref(el).grad_phi
-        est_loo = loo_mean(branch.est)
-        bias_terms.append(float(np.sum((branch.est.mean(axis=0) - gphi) ** 2)))
+        est_loo = loo_mean(est)
+        bias_terms.append(float(np.sum((est.mean(axis=0) - gphi) ** 2)))
         bias_var.append(jackknife_se(np.sum((est_loo - gphi) ** 2,
                                             axis=1)) ** 2)
-        err_sq = np.sum((branch.est - gphi) ** 2, axis=1)
+        err_sq = np.sum((est - gphi) ** 2, axis=1)
         mse_terms.append(float(err_sq.mean()))
         mse_var.append(jackknife_se(loo_mean(err_sq)) ** 2)
         grad_sq.append(float(gphi @ gphi))

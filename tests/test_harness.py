@@ -84,6 +84,19 @@ def test_rate_fit_rejects_nonpositive_average():
         rate_fit(trace, (1, 50))
 
 
+def test_rate_fit_rejects_an_empty_trace():
+    with pytest.raises(InsufficientDataError):
+        rate_fit(IterationTrace.from_rows([]), (1, 10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rate_fit_rejects_nonfinite_average(bad):
+    trace = trace_with_running_average(1.0 / np.arange(1, 51))
+    trace.grad_phi_sq[20] = bad
+    with pytest.raises(InvalidParameterError):
+        rate_fit(trace, (1, 50))
+
+
 def test_rate_fit_freezes_window():
     with pytest.raises(InvalidParameterError):
         RateFit(slope=0.0, intercept=0.0, r_squared=1.0, k_window=(5, 5))
@@ -340,9 +353,28 @@ _TINY_SWEEP = "--kappa-grid 2 --max-iters 10 --dim 2"
     ("fit --trace {file} --k-min 1 --k-max 10",
      lambda doc: ",".join(TRACE_COLUMNS) + "\n0,x,1,1,1,1,1,3,2\n"),
     ("sweep --seeds 0,0 " + _TINY_SWEEP, None),
+    ("gen --kappa nan", None),
+    ("gen --kappa inf", None),
+    ("gen --kappa 1e308", None),
+    ("run --problem {file}", lambda doc: json.dumps(
+        {**doc, "offset": [math.nan] + doc["offset"][1:]})),
+    ("run --problem {file}", lambda doc: json.dumps(
+        {**doc, "coupling": [[math.inf] + doc["coupling"][0][1:]]
+         + doc["coupling"][1:]})),
+    ("run --problem {file}", lambda doc: json.dumps(
+        {**doc, "upper": {**doc["upper"], "target": [math.nan]
+                          + doc["upper"]["target"][1:]}})),
+    ("fit --trace {file} --k-min 1 --k-max 10",
+     lambda doc: ",".join(TRACE_COLUMNS) + "\n"),
+    ("fit --trace {file} --k-min 1 --k-max 10",
+     lambda doc: ",".join(TRACE_COLUMNS) + "\n" + "".join(
+         f"{k},nan,1.0,1.0,1.0,0.0,0.0,{3 * k + 3},{2 * k + 2}\n"
+         for k in range(10))),
 ], ids=["family-only", "not-an-object", "noise-typo", "gen-seed", "run-seed",
         "mc-seed", "sweep-seeds", "problem-seed", "repeated-algorithm",
-        "trace-value", "repeated-seed"])
+        "trace-value", "repeated-seed", "kappa-nan", "kappa-inf",
+        "kappa-overflow", "offset-nan", "coupling-inf", "target-nan",
+        "empty-trace", "nan-trace"])
 def test_cli_bad_input_exits_one_with_an_error_line(argv, text, tmp_path,
                                                     capsys):
     # ``{file}`` is a valid problem file, or what ``text`` makes of one; an

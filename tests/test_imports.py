@@ -1,6 +1,6 @@
-"""No module of the package or of the tests imports a name it never uses,
-no private module-level name of the package is left unreferenced, and the
-logistic commands never load scipy.
+"""No module of the package, the tests or the benchmark imports a name it
+never uses, no private module-level name of the package is left
+unreferenced, and the logistic commands never load scipy.
 
 The toolchain has no linter, so this walks each module's syntax tree: a
 name bound by an import must appear as a name somewhere in the module or
@@ -23,7 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ssaid").glob("*.py"))
 MODULES = sorted(
     [p for p in PACKAGE if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")))
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "bench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

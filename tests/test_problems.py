@@ -514,10 +514,18 @@ def test_json_writes_float_parameters_as_floats():
     lambda doc: {**doc, "constants": {**doc["constants"], "kappa": 99.0}},
     lambda doc: {**doc, "upper": {**doc["upper"], "cos_ampp": 5.0}},
     lambda doc: {**doc, "noise": {}},
+    lambda doc: {**doc, "offset": [math.nan] + doc["offset"][1:]},
+    lambda doc: {**doc, "coupling": [[math.inf] + doc["coupling"][0][1:]]
+                 + doc["coupling"][1:]},
+    lambda doc: {**doc, "upper": {**doc["upper"], "target": [-math.inf]
+                                  + doc["upper"]["target"][1:]}},
+    lambda doc: {**doc, "hess": [[math.nan] + doc["hess"][0][1:]]
+                 + doc["hess"][1:]},
 ], ids=["list", "no-seed", "noise-key", "noise-list", "constants-keys",
         "upper-string", "upper-keys", "ragged-hess", "family-list", "dim-x",
         "dim-y", "top-extra", "constants-extra", "constants-kappa",
-        "upper-extra", "noise-missing"])
+        "upper-extra", "noise-missing", "offset-nan", "coupling-inf",
+        "target-inf", "hess-nan"])
 def test_json_rejects_malformed_documents(edit):
     # the reader accepts exactly the keys that the writer emits, and a
     # derived key (kappa) only at its derived value
@@ -546,3 +554,34 @@ def test_invalid_problem_construction():
                                 upper=PlainQuadraticUpper(target=np.zeros(2)))
     with pytest.raises(InvalidParameterError):
         make_logistic_problem(dim_x=2, dim_y=2, n_rows=4, batch_size=9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_problem_data_refused(bad):
+    quad, logi = tiny_quadratic(hess_scale=0.5), tiny_logistic()
+    spoiled = np.array(quad.hess_noise_dir)
+    spoiled[0, 0] = bad
+    with pytest.raises(InvalidProblemError):
+        replace(quad, hess_noise_dir=spoiled, constants=None)
+    spoiled = np.array(logi.features)
+    spoiled[1, 2] = bad
+    with pytest.raises(InvalidProblemError):
+        replace(logi, features=spoiled, constants=None)
+    for upper in (PseudoHuberCosineUpper, PlainQuadraticUpper):
+        with pytest.raises(InvalidProblemError):
+            upper(target=np.array([0.0, bad]))
+    for field_name in ("cos_amp", "cos_freq", "huber_delta"):
+        with pytest.raises(InvalidProblemError):
+            PseudoHuberCosineUpper(target=np.zeros(2), **{field_name: bad})
+    with pytest.raises(InvalidProblemError):
+        PlainQuadraticUpper(target=np.zeros(2), x_weight=bad)
+    with pytest.raises(InvalidParameterError):
+        make_quadratic_problem(2, 2, bad)
+
+
+def test_kappa_that_overflows_the_hessian_refused():
+    # H = Q diag(1..kappa) Q' overflows at kappa near the float maximum and
+    # stops being numerically positive definite far below it
+    for kappa in (1e308, 1e30):
+        with pytest.raises(InvalidParameterError, match="too large"):
+            make_quadratic_problem(3, 3, kappa)

@@ -392,3 +392,27 @@ def test_logistic_bias_recursions_smoke():
     assert len(reports) == 4
     for rep in reports:
         assert rep.passed, (rep.lemma_id, rep.violation_fraction)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_only_the_adjoint_checks_solve_per_draw_targets(family, monkeypatch):
+    # a per-draw solve has a 1-D x and a stacked y; reference solves and
+    # Newton steps stack x, and history solves are 1-D throughout
+    problem = (noisy_problem() if family == "quadratic"
+               else make_logistic_problem(3, 4, 12, seed=2, batch_size=3))
+    solve = problem.solve_lower_hess
+    counts = []
+
+    def counting(x, y, rhs):
+        counts[-1] += np.ndim(x) == 1 and np.ndim(y) == 2
+        return solve(x, y, rhs)
+
+    monkeypatch.setattr(problem, "solve_lower_hess", counting)
+    config = RunConfig(seed=3, horizon=100)
+    mc = MCConfig(replications=8, checkpoints=(1, 5, 20, 100))
+    for check in (check_lower_tracking, check_bias_recursions,
+                  check_coupled_recursion, check_cumulative_bounds):
+        counts.append(0)
+        check(problem, config, mc)
+    # one solve per branch in the two checks that read the targets
+    assert counts == [0, 4, 4, 0]
