@@ -62,15 +62,6 @@ def _finite(*vals) -> bool:
     return all(np.all(np.isfinite(v)) for v in vals)
 
 
-def _linalg():
-    """``scipy.linalg``, for the Cholesky factor and solves of a quadratic
-    problem's Hessian.  Imported at the first quadratic problem, not with
-    the package: it takes longer than the rest of the package's imports,
-    and the logistic family never calls it."""
-    import scipy.linalg
-    return scipy.linalg
-
-
 def _check_keys(d: dict, names: set, where: str):
     """Refuse a JSON object whose keys are not exactly ``names``, the keys
     that the writer emits."""
@@ -408,12 +399,10 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
                     "hess_scale > 0 requires a hess_noise_dir matrix")
             if self.hess_noise_dir.shape != (n, n):
                 raise InvalidProblemError("hess_noise_dir must match hess shape")
-        linalg = _linalg()
         try:
-            self._chol = linalg.cho_factor(self.hess, lower=True)[0]
-        except np.linalg.LinAlgError as exc:   # scipy raises numpy's error
+            np.linalg.cholesky(self.hess)
+        except np.linalg.LinAlgError as exc:
             raise InvalidProblemError("hess is not positive definite") from exc
-        self._potrs = linalg.lapack.dpotrs
         if np.linalg.eigvalsh(self.hess)[0] <= 0:
             raise InvalidProblemError("hess is not positive definite")
         tags = {TAG_LOWER_GRAD} if self.noise.sigma > 0.0 else set()
@@ -469,22 +458,22 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         """Mean cross-derivative product: (d^2 g / dx dy) v = -B'v."""
         return -_row_gemv(v, self.coupling)
 
-    def _cho_solve(self, b):
-        # LAPACK's potrs, as scipy's cho_solve calls it, with its check
-        # that b is finite but without its per-call overhead; the rows of a
-        # stacked b are its right-hand sides, each with its 1-D bits
-        return self._potrs(self._chol, np.asarray_chkfinite(b).T, lower=1)[0].T
+    def _hess_solve(self, b):
+        # one LAPACK gesv per row of a stacked b, as in the logistic family,
+        # so each row has its 1-D bits; b must be finite
+        return np.linalg.solve(self.hess,
+                               np.asarray_chkfinite(b)[..., None])[..., 0]
 
     def solve_lower_hess(self, x, y, rhs):
         """Solve H v = rhs; a leading row axis on y or rhs (or both) gives
         one system per row, each with the same bits as its 1-D solve."""
         if y.ndim > rhs.ndim:
             rhs = np.broadcast_to(rhs, y.shape)
-        return self._cho_solve(rhs)
+        return self._hess_solve(rhs)
 
     def lower_solution(self, x):
         """y*(x); a leading row axis on x gives one solve per row."""
-        return self._cho_solve(self._lin(x))
+        return self._hess_solve(self._lin(x))
 
     # --- sampled oracles ------------------------------------------------
 
@@ -807,19 +796,20 @@ def make_quadratic_problem(dim_x: int, dim_y: int, kappa: float,
         hess_noise_dir = 0.5 * (hess_noise_dir + hess_noise_dir.T)
 
     # top curvature direction of the implicit part, for target placement
-    linalg = _linalg()
     try:
-        chol = linalg.cho_factor(hess, lower=True)
-    except ValueError as exc:   # numpy's LinAlgError is a ValueError too
+        if not _finite(hess):   # numpy's Cholesky passes inf and NaN through
+            raise np.linalg.LinAlgError
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(
             f"kappa={kappa} is too large: H overflows or is not numerically "
             f"positive definite") from exc
-    hinv_b = linalg.cho_solve(chol, coupling)
+    hinv_b = np.linalg.solve(hess, coupling)
     w_mat = hinv_b @ hinv_b.T
     evals, evecs = np.linalg.eigh(w_mat)
     ridge_dir = evecs[:, -1]
 
-    y_at_origin = linalg.cho_solve(chol, offset)
+    y_at_origin = np.linalg.solve(hess, offset)
     target = y_at_origin - (0.5 / kappa) * ridge_dir
     upper = PseudoHuberCosineUpper(target=target, cos_amp=0.01,
                                    huber_delta=0.5)

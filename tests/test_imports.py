@@ -1,6 +1,7 @@
 """No module of the package, the tests or the benchmark imports a name it
 never uses, no private module-level name of the package is left
-unreferenced, and the logistic commands never load scipy.
+unreferenced, no command loads scipy, and the package imports exactly the
+third-party modules that ``pyproject.toml`` declares.
 
 The toolchain has no linter, so this walks each module's syntax tree: a
 name bound by an import must appear as a name somewhere in the module or
@@ -13,9 +14,15 @@ outside its own definition, in the package, the tests or the benchmark.
 import ast
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:   # Python 3.10
+    import tomli as tomllib
 
 import pytest
 
@@ -136,29 +143,54 @@ from pathlib import Path
 import ssaid
 from ssaid.harness import main
 
-out = sys.argv[1]
+out = Path(sys.argv[1])
 print("scipy after import", "scipy" in sys.modules)
-assert main(["gen", "--family", "logistic", "--dim", "3", "--rows", "12",
-             "--out-dir", out]) == 0
-problem = str(next(Path(out).glob("problem_*.json")))
-assert main(["run", "--problem", problem, "--K", "5", "--out-dir", out]) == 0
-assert main(["verify", "--problem", problem, "--all", "--replications", "8",
-             "--checkpoints", "1,5", "--out-dir", out]) in (0, 2)
-print("scipy after logistic", "scipy" in sys.modules)
-assert main(["gen", "--family", "quadratic", "--dim", "3", "--kappa", "5",
-             "--out-dir", out]) == 0
-print("scipy after quadratic", "scipy" in sys.modules)
+for family, flags in (("quadratic", ["--kappa", "5"]),
+                      ("logistic", ["--rows", "12"])):
+    where = out / family
+    assert main(["gen", "--family", family, "--dim", "3", *flags,
+                 "--out-dir", str(where)]) == 0
+    problem = str(next(where.glob("problem_*.json")))
+    assert main(["run", "--problem", problem, "--K", "5",
+                 "--out-dir", str(where)]) == 0
+    assert main(["verify", "--problem", problem, "--all", "--replications",
+                 "8", "--checkpoints", "1,5", "--out-dir", str(where)]) in (0, 2)
+    print("scipy after", family, "scipy" in sys.modules)
+assert main(["sweep", "--kappa-grid", "2", "--seeds", "0", "--dim", "2",
+             "--max-iters", "10", "--out-dir", str(out / "sweep")]) == 0
+print("scipy after sweep", "scipy" in sys.modules)
 """
 
 
-def test_scipy_loads_only_for_a_quadratic_problem(tmp_path):
-    # importing scipy.linalg is most of a command's start-up, and only the
-    # quadratic family's Cholesky solves call it
+def test_no_command_loads_scipy(tmp_path):
+    # the package solves with numpy.linalg alone; importing scipy.linalg
+    # would double a command's start-up
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = [line for line in proc.stdout.splitlines()
             if line.startswith("scipy after")]
-    assert seen == ["scipy after import False", "scipy after logistic False",
-                    "scipy after quadratic True"]
+    assert seen == ["scipy after import False", "scipy after quadratic False",
+                    "scipy after logistic False", "scipy after sweep False"]
+
+
+def _third_party_imports(paths) -> set:
+    """Top-level names of the modules that ``paths`` import from outside
+    the standard library and the package."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"ssaid"}
+
+
+def test_declared_dependencies_match_the_imports():
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+             for req in declared}
+    assert _third_party_imports(PACKAGE) == names == {"numpy"}

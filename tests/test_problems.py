@@ -261,6 +261,34 @@ def test_batched_hess_solve_matches_loop(family):
                                       prob.solve_lower_hess(x, y2[i], b2[i]))
 
 
+def test_quadratic_solves_are_backward_stable():
+    # every solved row y of H y = b has ||H y - b|| <= 8 eps ||H|| ||y||, so
+    # the solver is as accurate as the data allow at each condition number
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(19)
+    for kappa in (2.0, 10.0, 50.0, 250.0, 1000.0):
+        for seed in range(4):
+            prob = make_quadratic_problem(10, 10, kappa, seed=seed)
+            scale = 8.0 * eps * np.linalg.norm(prob.hess, 2)
+            x = rng.uniform(-50.0, 50.0, size=(64, 10))
+            rhs = rng.uniform(-50.0, 50.0, size=(64, 10))
+            y = prob.lower_solution(x)
+            v = prob.solve_lower_hess(x[0], y, rhs)
+            for sol, residual in ((y, prob.lower_grad_y(x, y)),
+                                  (v, prob.lower_hess_vec(x, y, v) - rhs)):
+                assert np.all(np.linalg.norm(residual, axis=1)
+                              <= scale * np.linalg.norm(sol, axis=1))
+
+
+def test_quadratic_solve_refuses_a_nonfinite_right_hand_side():
+    prob = tiny_quadratic()
+    x, y = np.zeros(3), np.zeros((2, 4))
+    for rhs in (np.array([0.0, math.nan, 0.0, 0.0]),
+                np.array([[0.0] * 4, [0.0, 0.0, math.nan, 0.0]])):
+        with pytest.raises(ValueError):
+            prob.solve_lower_hess(x, y, rhs)
+
+
 # ---------------------------------------------------------------------------
 # sampled oracles: determinism, bias, variance
 

@@ -36,11 +36,21 @@ _ROWS = st.one_of(st.integers(1, 6),
 
 @given(data=st.data(), problem_seed=st.integers(0, 2**32 - 1),
        dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 12)),
-       rows=_ROWS, form=st.sampled_from(["rows", "shared_y", "shared_rhs"]))
-def test_stacked_logistic_solve_equals_per_row_solves(data, problem_seed, dims,
-                                                      rows, form):
+       rows=_ROWS, form=st.sampled_from(["rows", "shared_y", "shared_rhs"]),
+       family=st.sampled_from(["quadratic", "logistic"]),
+       kappa=st.floats(1.0, 100.0))
+def test_stacked_solve_equals_per_row_solves(data, problem_seed, dims, rows,
+                                             form, family, kappa):
+    # a multi-column solve would give each row bits that depend on the
+    # other rows
     dim_x, dim_y, extra_rows = dims
-    prob = make_logistic_problem(dim_x, dim_y, 4 + extra_rows, seed=problem_seed)
+    if family == "logistic":
+        prob = make_logistic_problem(dim_x, dim_y, 4 + extra_rows,
+                                     seed=problem_seed)
+    else:
+        # a 1-D lower level has mu = L = 1
+        prob = make_quadratic_problem(dim_x, dim_y, 1.0 if dim_y == 1 else kappa,
+                                      seed=problem_seed)
     x = data.draw(arrays(np.float64, dim_x, elements=_VALUES), label="x")
     # the drawn head rows come first; a seeded generator fills the rest, so
     # large row counts stay cheap to draw and to shrink
