@@ -8,7 +8,7 @@ Two families are provided:
 
 * ``QuadraticBilevelProblem`` -- g is quadratic in y with a constant
   Hessian, so y*(x), the adjoint solve, and the exact hypergradient are all
-  one cached Cholesky solve.  Second-derivative Lipschitz constant rho = 0.
+  one LU solve per row.  Second-derivative Lipschitz constant rho = 0.
 * ``LogisticBilevelProblem`` -- ridge-regularized logistic loss, rho > 0,
   reference solutions via damped Newton.  Sampling is minibatching over
   rows.
@@ -97,8 +97,8 @@ def _float_fields(part):
 class ProblemConstants:
     """(mu, L, rho, M, sigma, tau) driving every derived bound.
 
-    lipschitz_M may be +inf for an upper objective flagged as violating the
-    bounded-gradient assumption; everything else must be finite.
+    lipschitz_M may be +inf for an upper objective with an unbounded
+    gradient; everything else must be finite.
     """
 
     mu: float
@@ -176,8 +176,6 @@ class PseudoHuberCosineUpper:
     huber_delta: float = 1.0
     kind: str = field(default="pseudo_huber_cosine", init=False)
 
-    assumption_violating = False
-
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
         _float_fields(self)
@@ -220,18 +218,15 @@ class PseudoHuberCosineUpper:
 class PlainQuadraticUpper:
     """f(x, y) = 0.5 ||y - t||^2 + 0.5 x_weight ||x||^2.
 
-    The gradient is unbounded, so the bounded-value-Lipschitz assumption
-    fails globally; kept around for experiments that knowingly leave the
-    assumption set, and flagged as such.  Constants computed from it carry
-    lipschitz_M = inf, which makes automatic step-size selection refuse to
-    run.
+    The gradient is unbounded (grad_bound is inf), so constants computed
+    from it carry lipschitz_M = inf and automatic step-size selection
+    refuses to run; kept for experiments that knowingly leave the
+    bounded-gradient assumption.
     """
 
     target: np.ndarray
     x_weight: float = 0.0
     kind: str = field(default="plain_quadratic", init=False)
-
-    assumption_violating = True
 
     def __post_init__(self):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
@@ -359,8 +354,8 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
     """g(x, y) = 0.5 y'Hy - y'(Bx + c) with H constant SPD.
 
     y*(x) = H^{-1}(Bx + c), the lower Hessian is H everywhere, and the
-    cross derivative is the constant -B', so every reference quantity is a
-    cached Cholesky solve.
+    cross derivative is the constant -B', so every reference quantity is
+    one LU solve per row.
     """
 
     hess: np.ndarray       # (n, n) SPD
@@ -403,8 +398,6 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
             np.linalg.cholesky(self.hess)
         except np.linalg.LinAlgError as exc:
             raise InvalidProblemError("hess is not positive definite") from exc
-        if np.linalg.eigvalsh(self.hess)[0] <= 0:
-            raise InvalidProblemError("hess is not positive definite")
         tags = {TAG_LOWER_GRAD} if self.noise.sigma > 0.0 else set()
         if self.noise.hess_scale > 0.0:
             tags.add(TAG_HESS_OP)
@@ -423,6 +416,8 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
     def _compute_constants(self) -> ProblemConstants:
         eigs = np.linalg.eigvalsh(self.hess)
         mu = float(eigs[0])
+        if mu <= 0:
+            raise InvalidProblemError("hess is not positive definite")
         l_hess = float(eigs[-1])
         if self.noise.hess_scale > 0.0:
             l_hess += self.noise.hess_scale * float(

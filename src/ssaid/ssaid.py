@@ -208,10 +208,7 @@ class IterationTrace:
 
     def running_average(self) -> np.ndarray:
         """Mean of grad_phi_sq over recorded rows up to and including each row."""
-        n = self.n_rows
-        if n == 0:
-            return np.empty(0)
-        return np.cumsum(self.grad_phi_sq) / np.arange(1, n + 1)
+        return np.cumsum(self.grad_phi_sq) / np.arange(1, self.n_rows + 1)
 
     def csv_text(self) -> str:
         cols = [getattr(self, name).tolist() for name in TRACE_COLUMNS]

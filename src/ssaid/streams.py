@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = [
     "TAG_LOWER_GRAD",
     "TAG_UPPER_GRAD",
@@ -43,8 +45,14 @@ TAG_HESS_OP = 4      # sampled lower Hessian (Hessian-vector) operator
 
 BRANCH_SLOT = 1 << 32
 
-_MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A7C15  # arbitrary fixed odd constant
+
+
+def _key(seed) -> int:
+    """``seed`` as a Philox key word; one outside [0, 2^64) is refused."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise InvalidParameterError(f"a seed must lie in [0, 2^64), got {seed}")
+    return int(seed)
 
 
 def stream(seed: int, iteration: int, tag: int, slot: int = 0) -> np.random.Generator:
@@ -52,7 +60,7 @@ def stream(seed: int, iteration: int, tag: int, slot: int = 0) -> np.random.Gene
     if iteration < 0 or slot < 0:
         raise ValueError("iteration and slot must be nonnegative")
     bg = np.random.Philox(counter=[0, slot, iteration, tag],
-                          key=[int(seed) & _MASK64, _KEY_SALT])
+                          key=[_key(seed), _KEY_SALT])
     return np.random.Generator(bg)
 
 
@@ -67,7 +75,7 @@ class StreamFactory:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = _key(seed)
         self._cache: dict[int, tuple] = {}
 
     def at(self, iteration: int, tag: int, slot: int = 0) -> np.random.Generator:

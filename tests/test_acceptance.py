@@ -93,7 +93,7 @@ def test_adjoint_norm_bounded_over_long_run():
     assert trace.n_rows == 100_000
     # default adjoint start is the zero vector
     derived = compute_derived_constants(problem.constants, v0_norm=0.0)
-    report = check_v_bound(trace, problem.constants, derived)
+    report = check_v_bound(trace.k, trace.v_norm, problem.constants, derived)
     n_violations = sum(r.violated for r in report.rows)
     assert n_violations == 0
     elapsed = time.monotonic() - start

@@ -370,11 +370,13 @@ _TINY_SWEEP = "--kappa-grid 2 --max-iters 10 --dim 2"
      lambda doc: ",".join(TRACE_COLUMNS) + "\n" + "".join(
          f"{k},nan,1.0,1.0,1.0,0.0,0.0,{3 * k + 3},{2 * k + 2}\n"
          for k in range(10))),
+    ("run --problem {file} --K 5 --seed 18446744073709551616", None),
+    ("sweep --seeds 0,18446744073709551616 " + _TINY_SWEEP, None),
 ], ids=["family-only", "not-an-object", "noise-typo", "gen-seed", "run-seed",
         "mc-seed", "sweep-seeds", "problem-seed", "repeated-algorithm",
         "trace-value", "repeated-seed", "kappa-nan", "kappa-inf",
         "kappa-overflow", "offset-nan", "coupling-inf", "target-nan",
-        "empty-trace", "nan-trace"])
+        "empty-trace", "nan-trace", "run-seed-2^64", "sweep-seed-2^64"])
 def test_cli_bad_input_exits_one_with_an_error_line(argv, text, tmp_path,
                                                     capsys):
     # ``{file}`` is a valid problem file, or what ``text`` makes of one; an

@@ -186,7 +186,6 @@ class HalfSquarePlusSine:
     """f(x, y) = 0.5 y'y + sin(x_0); test-only, unbounded gradient."""
 
     kind = "test_only"
-    assumption_violating = True
 
     def value(self, x, y):
         return 0.5 * float(y @ y) + math.sin(x[0])

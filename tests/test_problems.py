@@ -448,7 +448,6 @@ def test_stream_addresses_wire_samples_apart():
 
 def test_plain_quadratic_upper_is_flagged():
     up = PlainQuadraticUpper(target=np.zeros(2))
-    assert up.assumption_violating
     assert up.grad_bound(2, 2) == math.inf
     prob = QuadraticBilevelProblem(hess=np.eye(2), coupling=np.eye(2),
                                    offset=np.zeros(2), upper=up)

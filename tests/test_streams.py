@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ssaid.errors import InvalidParameterError
 from ssaid.streams import (
     BRANCH_SLOT,
     TAG_CROSS_OP,
@@ -65,6 +66,15 @@ def test_factory_interleaved_tags_stay_independent():
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
 def test_extreme_seeds_accepted(seed):
     stream(seed, 0, TAG_LOWER_GRAD).standard_normal(2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_64_bits_rejected(seed):
+    # a masked key would give these the streams of smaller seeds
+    with pytest.raises(InvalidParameterError):
+        stream(seed, 0, TAG_LOWER_GRAD)
+    with pytest.raises(InvalidParameterError):
+        StreamFactory(seed)
 
 
 def test_negative_iteration_rejected():

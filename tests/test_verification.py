@@ -14,7 +14,7 @@ from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
                             QuadraticBilevelProblem, _json_text,
                             make_logistic_problem, make_quadratic_problem,
                             reference_solution)
-from ssaid.ssaid import IterationTrace, RunConfig, run_ssaid
+from ssaid.ssaid import RunConfig, run_ssaid
 from ssaid.verification import (LEMMA_IDS, MCConfig, _simulate_history,
                                 check_bias_recursions,
                                 check_coupled_recursion,
@@ -241,7 +241,7 @@ def test_v_bound_on_noisy_trace():
     config = RunConfig(seed=9, horizon=2000)
     trace = run_ssaid(problem, config)
     derived = compute_derived_constants(problem.constants, v0_norm=0.0)
-    report = check_v_bound(trace, problem.constants, derived)
+    report = check_v_bound(trace.k, trace.v_norm, problem.constants, derived)
     assert report.passed
     assert report.violation_fraction == 0.0
     assert len(report.rows) == trace.n_rows
@@ -251,11 +251,53 @@ def test_v_bound_flags_crafted_excursion():
     problem = noiseless_problem()
     derived = compute_derived_constants(problem.constants, v0_norm=0.0)
     cap = derived.v0_norm + problem.constants.lipschitz_M / problem.constants.mu
-    trace = IterationTrace.from_rows(
-        [(0, 1.0, 0.1, 0.1, cap + 1.0, 0.0, 0.0, 3, 2)])
-    report = check_v_bound(trace, problem.constants, derived)
+    report = check_v_bound([0], [cap + 1.0], problem.constants, derived)
     assert report.rows[0].violated
     assert not report.passed
+
+
+def small_problem(family):
+    return (noisy_problem() if family == "quadratic"
+            else make_logistic_problem(3, 4, 12, seed=2, batch_size=3))
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 30])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_v_bound_rows_are_the_run_trace_rows(family, horizon):
+    # the suite's replay gives the run's k and v_norm columns bit for bit,
+    # whatever the stride; horizon 0 scans the start, as the run records it
+    problem = small_problem(family)
+    config = RunConfig(seed=5, horizon=horizon, stride=7)
+    trace = run_ssaid(problem, RunConfig(seed=5, horizon=horizon, stride=1))
+    want = check_v_bound(trace.k, trace.v_norm, problem.constants,
+                         trace.derived)
+    [got] = run_lemma_suite(problem, config,
+                            MCConfig(replications=2, checkpoints=(0,)),
+                            lemma="VBound")
+    assert len(got.rows) == max(horizon, 1)
+    assert [r.lhs.hex() for r in got.rows] == [r.lhs.hex() for r in want.rows]
+    assert got == want
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_v_bound_solves_no_reference(family, monkeypatch):
+    from ssaid import problems, verification
+    from ssaid import ssaid as core
+    problem = small_problem(family)
+    solve = problems.reference_solution
+    calls = []
+
+    def counting(problem, x):
+        calls.append(x)
+        return solve(problem, x)
+
+    for module in (problems, core, verification):
+        monkeypatch.setattr(module, "reference_solution", counting)
+    [report] = run_lemma_suite(problem, RunConfig(seed=3, horizon=20),
+                               MCConfig(replications=2, checkpoints=(20,)),
+                               lemma="VBound")
+    assert len(report.rows) == 20
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
