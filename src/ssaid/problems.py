@@ -503,7 +503,8 @@ def _sigmoid(t):
     # exp(-|t|) never overflows; minimum(t, -t) rather than -abs(t) keeps
     # the sign of a NaN input, so every bit equals the two-sided masked form
     e = np.exp(np.minimum(t, -t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def _softplus(t):
@@ -699,7 +700,9 @@ class LogisticBilevelProblem(_BilevelProblemBase):
         given) and the n_rows/batch_size scale that keeps it unbiased."""
         shape = (self.batch_size,) if reps is None else (reps, self.batch_size)
         idx = gen.integers(0, self.n_rows, size=shape)
-        return self.features[idx], self.cross_rows[idx], self.n_rows / self.batch_size
+        return (self.features.take(idx, axis=0),
+                self.cross_rows.take(idx, axis=0),
+                self.n_rows / self.batch_size)
 
     @staticmethod
     def _batch_curvature_times(a, d, x, y, v):

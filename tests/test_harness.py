@@ -2,10 +2,15 @@
 algorithm presets, and the CLI contract (exit codes, determinism, config
 files)."""
 
+import ctypes
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +18,9 @@ import pytest
 
 from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import InsufficientDataError, InvalidParameterError
+from ssaid import harness
 from ssaid.harness import (RateFit, SweepSpec, _build_parser, _run_to_epsilon,
-                           kappa_sweep, main, parse_algorithm, rate_fit,
+                           cli, kappa_sweep, main, parse_algorithm, rate_fit,
                            sweep_csv, sweep_summary_json)
 from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
                             QuadraticBilevelProblem, make_quadratic_problem,
@@ -744,3 +750,123 @@ def test_readme_command_parses(argv, capsys):
     except SystemExit:
         pytest.fail(f"README command does not parse: {capsys.readouterr().err}")
     assert args.command == argv[0]
+
+
+# ---------------------------------------------------------------------------
+# allocator policy of the command-line process
+
+# a child finds the imported package from any working directory, and runs
+# one BLAS thread, so its page faults count the program, not thread set-up
+CHILD_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                 PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+POLICY_CHAINS = {
+    "quadratic": ("--family", "quadratic", "--dim", "6", "--kappa", "10",
+                  "--sigma", "1", "--radius", "0.5", "--seed", "3"),
+    "logistic": ("--family", "logistic", "--dim", "6", "--rows", "24",
+                 "--seed", "3"),
+}
+BENCH_LOGISTIC = ("gen", "--family", "logistic", "--dim", "10", "--rows",
+                  "40", "--seed", "1")
+BENCH_VERIFY = ("--all", "--replications", "2000", "--checkpoints",
+                "1,5,20,100", "--seed", "1", "--mc-seed", "1")
+
+
+def child_cli(*argv):
+    """(exit code, rusage) of ``python -m ssaid`` in its own process, killed
+    after 600 s."""
+    proc = subprocess.Popen([sys.executable, "-m", "ssaid", *argv],
+                            env=CHILD_ENV, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    timer = threading.Timer(600, proc.kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage
+
+
+def on_glibc():
+    """Whether this interpreter runs on glibc, where ``cli`` sets
+    ``mallopt``."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
+def cli_chain(command, out, family):
+    """gen -> run -> verify on one problem, every file under ``out``."""
+    assert command("gen", *POLICY_CHAINS[family], "--out-dir", str(out)) == 0
+    problem = str(next(out.glob("problem_*.json")))
+    assert command("run", "--problem", problem, "--K", "200", "--seed", "5",
+                   "--out-dir", str(out)) == 0
+    assert command("verify", "--problem", problem, "--all", "--replications",
+                   "200", "--checkpoints", "1,5,20", "--seed", "5",
+                   "--mc-seed", "5", "--out-dir", str(out)) == 0
+
+
+@pytest.mark.parametrize("family", sorted(POLICY_CHAINS))
+def test_allocator_policy_changes_no_byte(family, tmp_path):
+    cli_chain(lambda *argv: child_cli(*argv)[0], tmp_path / "cli", family)
+    cli_chain(run_cli, tmp_path / "main", family)
+    files = tree_bytes(tmp_path / "cli")
+    assert len(files) == 5   # problem, run, trace, lemma JSON and CSV
+    assert files == tree_bytes(tmp_path / "main")
+
+
+def test_verify_process_keeps_freed_heap(tmp_path):
+    assert run_cli(*BENCH_LOGISTIC, "--out-dir", str(tmp_path)) == 0
+    problem = str(next(tmp_path.glob("problem_*.json")))
+    code, usage = child_cli("verify", "--problem", problem, *BENCH_VERIFY,
+                            "--out-dir", str(tmp_path / "cli"))
+    assert code == 0
+    assert run_cli("verify", "--problem", problem, *BENCH_VERIFY,
+                   "--out-dir", str(tmp_path / "main")) == 0
+    assert tree_bytes(tmp_path / "cli") == tree_bytes(tmp_path / "main")
+    if on_glibc():
+        # glibc trimming the heap after each batched branch made about
+        # 95k minor faults here; kept, the heap makes about 6.7k
+        assert usage.ru_minflt < 20_000, usage.ru_minflt
+
+
+class _NoLibc:
+    def __init__(self, _name):
+        raise OSError("no C library")
+
+
+class _NoMallopt:
+    def __init__(self, _name):
+        pass
+
+
+class _NoneName:
+    """Windows' ``CDLL``, which takes no ``None`` for the running process."""
+
+    def __init__(self, _name):
+        raise TypeError("argument of type 'NoneType' is not iterable")
+
+
+@pytest.mark.parametrize("cdll", [_NoLibc, _NoMallopt, _NoneName])
+def test_cli_runs_where_mallopt_is_missing(cdll, tmp_path, monkeypatch):
+    calls = []
+
+    def recording(name):
+        calls.append(name)
+        return cdll(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", recording)
+    harness._keep_freed_heap()
+    gen = ("gen", *POLICY_CHAINS["logistic"])
+    del calls[:]
+    assert main([*gen, "--out-dir", str(tmp_path / "main")]) == 0
+    assert calls == []   # main leaves the allocator alone
+    assert cli([*gen, "--out-dir", str(tmp_path / "cli")]) == 0
+    assert calls == [None]
+    assert tree_bytes(tmp_path / "cli") == tree_bytes(tmp_path / "main")
