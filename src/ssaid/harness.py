@@ -10,8 +10,8 @@ Three layers:
   the oracle complexity max(gradient queries, matrix-vector queries);
 * CLI: gen / run / verify / sweep / compare / fit subcommands writing
   deterministic artifacts.  Identical invocations produce byte-identical
-  files, independent of --threads and of the allocator policy that the
-  ``ssaid`` command (``cli``) sets before it runs ``main``.
+  files, independent of the allocator policy that the ``ssaid`` command
+  (``cli``) sets before it runs ``main``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
 from .hypergradient import StepSizes, check_lower_rates
-from .problems import (NoiseModel, _json_text, _row_dot,
+from .problems import (NoiseModel, _json_text, _row_dot, _stack_quadratics,
                        make_logistic_problem, make_quadratic_problem,
                        problem_from_json, problem_hash, problem_to_json,
                        reference_solution)
@@ -220,68 +219,97 @@ class SweepResult:
     exponents: dict      # algorithm -> log-log slope of median vs kappa
 
 
-def _run_group(problem, kind, preset, seeds, epsilon, max_iters):
-    """The sweep cells of ``seeds`` on one quadratic problem and algorithm,
-    run in lock-step.  Each seed's run iterates until the running average
-    of the exact stationarity measure (over check rows) drops to epsilon.
-
-    The running seeds are the rows of stacked (S, d) iterates, and one
-    ``iterate`` call advances them all.  Row i draws from seed i's streams
-    (``RowStreams``) and every quadratic product is one gemv per row, so
-    each row has the bits of its one-seed run.  A row leaves the batch when
-    it crosses epsilon at a check row, or when its own iterate turns
-    nonfinite, which ends the one-seed run with a DivergenceError.
-
-    Returns (complexity, censored) per seed: the oracle count at the
-    crossing, or (None, True) if the run diverged or never resolved within
-    max_iters.  A check row makes one stacked reference solve over the
-    running seeds, each row with its one-seed bits.
-    """
-    state = _setup(problem, RunConfig(seed=seeds[0], horizon=max_iters))[0]
+def _start(problem, kind, max_iters):
+    """The start state of a sweep cell's run on ``problem``: the zero start
+    and the automatic step sizes for ``max_iters`` iterations.  A multiloop
+    run's lower and adjoint rates must be at most 1/L."""
+    state = _setup(problem, RunConfig(seed=0, horizon=max_iters))[0]
     if kind == "multiloop":
         check_lower_rates(state.steps, problem.constants)
+    return state
+
+
+def _run_group(rows, kind, preset, epsilon, max_iters):
+    """The sweep cells of ``rows``, (quadratic problem, seed) pairs of one
+    algorithm preset, run in lock-step.  Each row's run iterates until the running
+    average of the exact stationarity measure (over check rows) drops to
+    epsilon.  The problems must share their dimensions and noise.
+
+    The running rows are the rows of stacked (rows, d) iterates, and one
+    ``iterate`` call advances them all on the row-stacked view of their
+    problems, each row at its own problem's step sizes.  Row i draws from
+    its seed's streams (``RowStreams``, one draw per distinct seed) and
+    every quadratic product is one gemv per row, so each row has the bits
+    of its one-seed run.  A row leaves the batch when it crosses epsilon at
+    a check row, or when its own iterate turns nonfinite, which ends the
+    one-seed run with a DivergenceError.
+
+    Returns (complexity, censored) per row: the oracle count at the
+    crossing, or (None, True) if the run diverged or never resolved within
+    max_iters.  A check row makes one stacked reference solve per problem
+    over its running rows, each row with its one-seed bits.
+    """
+    index, problems = {}, []
+    for problem, _ in rows:
+        if id(problem) not in index:
+            index[id(problem)] = len(problems)
+            problems.append(problem)
+    owner = [index[id(problem)] for problem, _ in rows]
+    starts = [_start(problem, kind, max_iters) for problem in problems]
     # the single loop's step is the baseline's at N = Q = 1
     n, q = preset or (1, 1)
     inner, solver = range(n), range(q)
     cost = max(_oracle_bill(n, q))
-    alpha, eta, beta = state.steps._arrays
     stride = max(1, max_iters // _SWEEP_CHECKS)
-    streams = RowStreams(seeds)
-    live = list(range(len(seeds)))     # seed index of each row
-    x, y, v = (np.stack([a] * len(seeds))
-               for a in (state.x, state.y_hat, state.v_hat))
-    totals = [0.0] * len(seeds)
-    outcomes = [(None, True)] * len(seeds)
+    streams = RowStreams([seed for _, seed in rows])
+    live = list(range(len(rows)))      # the row of each batch row
+    x, y, v = (np.stack([getattr(starts[p], name) for p in owner])
+               for name in ("x", "y_hat", "v_hat"))
+    view = _stack_quadratics([problems[p] for p in owner])
+    # each row's step sizes, across the whole row: numpy scales by such an
+    # array as fast as by a 0-d one, and twice as slowly by a (rows, 1) column
+    steps = [starts[p].steps for p in owner]
+    alpha, eta, beta = (np.array([[getattr(s, name)] * dim for s in steps])
+                        for name, dim in (("alpha", view.dim_y),
+                                          ("eta", view.dim_y),
+                                          ("beta", view.dim_x)))
+    totals = [0.0] * len(rows)
+    outcomes = [(None, True)] * len(rows)
     n_checks = 0
     for k in range(max_iters):
         x_before = x
-        y, v, _, est = iterate(problem, streams, k, x, y, v, alpha, eta,
+        y, v, _, est = iterate(view, streams, k, x, y, v, alpha, eta,
                                inner, solver, 0, len(live))
         x = x - beta * est
         keep = _finite_rows(x, y, v)   # a diverged run never crossed
         if k % stride == 0 or k == max_iters - 1:
             n_checks += 1
-            rows = [i for i, kept in enumerate(keep) if kept]
-            if rows:
-                grad_phi = reference_solution(problem, x_before[rows]).grad_phi
-                for i, sq in zip(rows, _row_dot(grad_phi, grad_phi).tolist()):
-                    seed_ix = live[i]
-                    totals[seed_ix] += sq
-                    if totals[seed_ix] / n_checks <= epsilon:
-                        outcomes[seed_ix] = (cost * (k + 1), False)
+            for p, problem in enumerate(problems):
+                batch = [i for i, row in enumerate(live)
+                         if keep[i] and owner[row] == p]
+                if not batch:
+                    continue
+                grad_phi = reference_solution(problem, x_before[batch]).grad_phi
+                for i, sq in zip(batch, _row_dot(grad_phi, grad_phi).tolist()):
+                    row = live[i]
+                    totals[row] += sq
+                    if totals[row] / n_checks <= epsilon:
+                        outcomes[row] = (cost * (k + 1), False)
                         keep[i] = False
         if not all(keep):
-            live = [s for s, kept in zip(live, keep) if kept]
+            live = [row for row, kept in zip(live, keep) if kept]
             if not live:
                 break
-            x, y, v = x[keep], y[keep], v[keep]
+            x, y, v, alpha, eta, beta = (a[keep] for a in
+                                         (x, y, v, alpha, eta, beta))
+            view = _stack_quadratics([problems[owner[row]] for row in live])
             streams.select(keep)
     return outcomes
 
 
 def _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters):
-    """One sweep cell: the one-seed case of ``_run_group``."""
-    return _run_group(problem, kind, preset, (seed,), epsilon, max_iters)[0]
+    """One sweep cell: the one-row case of ``_run_group``."""
+    return _run_group([(problem, seed)], kind, preset, epsilon, max_iters)[0]
 
 
 def _summarize(rows, spec: SweepSpec):
@@ -314,38 +342,32 @@ def _summarize(rows, spec: SweepSpec):
     return medians, exponents
 
 
-def kappa_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def kappa_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (kappa, seed, algorithm) cell and summarize.
 
-    The seeds of each (kappa, algorithm) group run in lock-step
-    (``_run_group``).  Groups are independent; with threads > 1 they are
-    dispatched to a pool and collected in submission order, so the output
-    is identical for any thread count.
+    The cells of one algorithm preset, (kind, N, Q), run as one lock-step
+    batch (``_run_group``) whose rows are every (kappa, seed) pair that
+    uses it.  A multiloop rate check that fails raises before any batch
+    runs, for the first failing (kappa, algorithm) in grid order.
     """
-    if threads < 1:
-        raise InvalidParameterError("threads must be >= 1")
     problems = {kappa: make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,
                                               seed=spec.problem_seed,
                                               noise=NoiseModel(spec.sigma))
                 for kappa in spec.kappa_grid}
-    groups = [(kappa, alg) for kappa in spec.kappa_grid
-              for alg in spec.algorithms]
-
-    def work(group):
-        kappa, alg = group
-        kind, preset = parse_algorithm(alg, kappa)
-        return _run_group(problems[kappa], kind, preset, spec.seeds,
-                          spec.epsilon, spec.max_iters)
-
-    if threads == 1:
-        outcomes = [work(g) for g in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, groups))
-    rows = [SweepRow(kappa=kappa, seed=seed, algorithm=alg,
-                     complexity=out[0], censored=out[1])
-            for (kappa, alg), outs in zip(groups, outcomes)
-            for seed, out in zip(spec.seeds, outs)]
+    batches = {}
+    for kappa in spec.kappa_grid:
+        for alg in spec.algorithms:
+            kind, preset = parse_algorithm(alg, kappa)
+            _start(problems[kappa], kind, spec.max_iters)   # the rate check
+            batches.setdefault((kind, preset), []).append((kappa, alg))
+    rows = []
+    for (kind, preset), groups in batches.items():
+        cells = [(kappa, seed, alg) for kappa, alg in groups
+                 for seed in spec.seeds]
+        outcomes = _run_group([(problems[kappa], seed) for kappa, seed, _
+                               in cells], kind, preset, spec.epsilon,
+                              spec.max_iters)
+        rows.extend(SweepRow(*cell, *out) for cell, out in zip(cells, outcomes))
     rows.sort(key=lambda r: (r.kappa, r.seed, r.algorithm))
     medians, exponents = _summarize(rows, spec)
     return SweepResult(rows=rows, medians=medians, exponents=exponents)
@@ -373,8 +395,8 @@ def sweep_summary_json(result: SweepResult, spec: SweepSpec) -> str:
 def _command(subs, name, summary, extra):
     """Parser of one command with --out-dir, --config and the flags in
     ``extra``, a {flag: (type, default, help)} map: --seed for the single-run
-    commands, --threads for the sweeps.  No prefix matching: `sweep --seed`
-    must not pass as --seeds."""
+    commands, the inert --threads for the sweeps.  No prefix matching:
+    `sweep --seed` must not pass as --seeds."""
     sub = subs.add_parser(
         name, help=summary, allow_abbrev=False,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -459,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, algs in (("sweep", "ssaid"), ("compare", "ssaid,multiloop")):
         sw = _command(subs, name, f"{name} over a condition-number grid",
-                      {"--threads": (int, 1, "worker threads")})
+                      {"--threads": (int, 1, "no effect; must be >= 1")})
         sw.add_argument("--kappa-grid", type=_float_list,
                         default="2,10,50,250", help="condition numbers")
         sw.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4",
@@ -633,7 +655,9 @@ def _cmd_sweep(args) -> int:
     name = args.command
     if name == "compare" and len(spec.algorithms) < 2:
         raise InvalidParameterError("comparison needs at least 2 algorithms")
-    result = kappa_sweep(spec, threads=args.threads)
+    if args.threads < 1:
+        raise InvalidParameterError("threads must be >= 1")
+    result = kappa_sweep(spec)
     out = _out_dir(args)
     _emit(out / f"{name}.csv", sweep_csv(result))
     _emit(out / f"{name}_summary.json", sweep_summary_json(result, spec))

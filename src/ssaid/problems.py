@@ -22,6 +22,7 @@ Evaluation points y may carry the same leading axis.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -404,14 +405,14 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
         self._finish(tags)
         self._noise_scale = np.array(self.noise.sigma / math.sqrt(n))  # 0-d
 
-    # dims
+    # dims, from the trailing axes, which a row-stacked view shares
     @property
     def dim_x(self) -> int:
-        return self.coupling.shape[1]
+        return self.coupling.shape[-1]
 
     @property
     def dim_y(self) -> int:
-        return self.hess.shape[0]
+        return self.hess.shape[-1]
 
     def _compute_constants(self) -> ProblemConstants:
         eigs = np.linalg.eigvalsh(self.hess)
@@ -493,6 +494,29 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
     def sample_cross_operator(self, x, gen, reps=None):
         # the cross derivative of the quadratic family is deterministic
         return lambda y, v: -_row_gemv(v, self.coupling)
+
+
+def _stack_quadratics(problems) -> QuadraticBilevelProblem:
+    """One quadratic problem whose rows are ``problems`` (repeats allowed):
+    ``hess``, ``coupling``, ``offset``, the upper ``target`` and
+    ``hess_noise_dir`` gain a leading row axis, and every other field is
+    the first problem's.  Its sample methods are the class's own, and with
+    stacked iterates each row has the bits of its one-row call on its own
+    problem.  The problems must share their dimensions, noise and upper
+    objective up to its target, as the sweep's problems of one kappa grid
+    do; ``constants`` is the first problem's and means nothing for the
+    others."""
+    first = problems[0]
+    view, upper = copy.copy(first), copy.copy(first.upper)
+    object.__setattr__(upper, "target",
+                       np.stack([p.upper.target for p in problems]))
+    view.upper = upper
+    names = ["hess", "coupling", "offset"]
+    if first.noise.hess_scale > 0.0:
+        names.append("hess_noise_dir")
+    for name in names:
+        setattr(view, name, np.stack([getattr(p, name) for p in problems]))
+    return view
 
 
 # ---------------------------------------------------------------------------

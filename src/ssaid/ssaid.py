@@ -121,21 +121,30 @@ def iterate(problem, factory: StreamFactory, k, x, y, v, alpha, eta, inner,
         y = y - alpha * problem.sample_lower_grad(x, y, gen, reps=reps)
     gen = factory.at(k, TAG_UPPER_GRAD, slot) if TAG_UPPER_GRAD in tags else None
     gx, gy = problem.sample_upper_grads(x, y, gen, reps=reps)
+    rhs = eta * gy   # the one right-hand side of every adjoint step
     for j in solver:
         gen = factory.at(k, TAG_HESS_OP, slot + j) if TAG_HESS_OP in tags else None
         hvp = problem.sample_hess_operator(x, gen, reps=reps)
-        v = v - eta * hvp(y, v) + eta * gy
+        v = v - eta * hvp(y, v) + rhs
     gen = factory.at(k, TAG_CROSS_OP, slot) if TAG_CROSS_OP in tags else None
     jvp = problem.sample_cross_operator(x, gen, reps=reps)
     return y, v, gy, gx - jvp(y, v)
 
 
+def _small(x, y, v) -> bool:
+    """Whether the summed squares of the three iterates' entries lie below
+    1e200, which settles ``_finite`` exactly and cheaply: then every entry
+    is finite and below 1e100 in magnitude, so no partial sum can overflow.
+    A nan, an inf or a square that overflows fails the comparison."""
+    return np.vdot(x, x) + np.vdot(y, y) + np.vdot(v, v) < 1e200
+
+
 def _finite(x, y, v) -> bool:
     """Whether the entries of the three iterates sum to a finite number,
-    which fails on any nan or inf and on overflow.  A magnitude sum below
-    1e300, on Python floats, settles it cheaply: then every entry is finite
-    and no partial sum can overflow."""
-    if (sum(map(abs, x.tolist())) + sum(map(abs, y.tolist()))
+    which fails on any nan or inf and on overflow.  Past ``_small``, a
+    magnitude sum below 1e300, on Python floats, settles it as well."""
+    if _small(x, y, v) or (
+            sum(map(abs, x.tolist())) + sum(map(abs, y.tolist()))
             + sum(map(abs, v.tolist()))) < 1e300:
         return True
     add = np.add.reduce
@@ -143,9 +152,10 @@ def _finite(x, y, v) -> bool:
 
 
 def _finite_rows(x, y, v) -> list:
-    """``_finite`` of each row of stacked iterates; the magnitude sum over
-    all rows settles the common case at once."""
-    if (sum(map(abs, x.ravel().tolist())) + sum(map(abs, y.ravel().tolist()))
+    """``_finite`` of each row of stacked iterates; ``_small`` or the
+    magnitude sum over all rows settles the common case at once."""
+    if _small(x, y, v) or (
+            sum(map(abs, x.ravel().tolist())) + sum(map(abs, y.ravel().tolist()))
             + sum(map(abs, v.ravel().tolist()))) < 1e300:
         return [True] * len(x)
     return [_finite(*row) for row in zip(x, y, v)]

@@ -146,7 +146,7 @@ def test_median_complexity_monotone_in_condition_number():
     spec = SweepSpec(kappa_grid=(2.0, 10.0, 50.0, 250.0),
                      seeds=(0, 1, 2, 3, 4), epsilon=0.1,
                      max_iters=4_000_000, dim_x=10, dim_y=10, sigma=1.0)
-    result = kappa_sweep(spec, threads=4)
+    result = kappa_sweep(spec)
     medians = [m["median"] for m in result.medians]
     assert all(m is not None for m in medians), result.medians
     assert all(a <= b for a, b in zip(medians, medians[1:])), medians
@@ -163,7 +163,7 @@ def test_single_loop_cheaper_than_multiloop_at_matched_target():
     spec = SweepSpec(kappa_grid=(10.0,), seeds=(0, 1, 2, 3, 4), epsilon=0.1,
                      max_iters=4_000_000, algorithms=("ssaid", "multiloop"),
                      dim_x=10, dim_y=10, sigma=1.0)
-    result = kappa_sweep(spec, threads=4)
+    result = kappa_sweep(spec)
     med = {m["algorithm"]: m["median"] for m in result.medians}
     assert med["ssaid"] is not None and med["multiloop"] is not None
     assert med["ssaid"] <= med["multiloop"], med

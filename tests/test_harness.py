@@ -185,12 +185,30 @@ def test_sweep_medians_monotone_in_condition_number():
 def test_sweep_rows_sorted_and_deterministic():
     spec = small_spec(seeds=(2, 0, 1))
     a = kappa_sweep(spec)
-    b = kappa_sweep(spec, threads=4)
+    b = kappa_sweep(spec)
     assert sweep_csv(a) == sweep_csv(b)
     keys = [(r.kappa, r.seed, r.algorithm) for r in a.rows]
     assert keys == sorted(keys)
     assert sweep_csv(a).splitlines()[0] == \
         "kappa,seed,algorithm,complexity,censored"
+
+
+def test_sweep_rate_check_fails_first_in_grid_order(monkeypatch):
+    # automatic steps always pass the multiloop rate check, so a stand-in
+    # fails it above kappa 4; the first failing (kappa, algorithm) in grid
+    # order raises, before any batch runs
+    def check(steps, constants):
+        if constants.kappa > 4.0:
+            raise InvalidParameterError(
+                f"rate check failed at kappa {constants.kappa:.3g}")
+
+    monkeypatch.setattr(harness, "check_lower_rates", check)
+    monkeypatch.setattr(harness, "_run_group",
+                        lambda *args: pytest.fail("a batch ran"))
+    spec = small_spec(kappa_grid=(2.0, 5.0, 10.0),
+                      algorithms=("ssaid", "multiloop:3:3"))
+    with pytest.raises(InvalidParameterError, match="at kappa 5$"):
+        kappa_sweep(spec)
 
 
 def test_unreachable_epsilon_censors_and_unresolves():
@@ -260,11 +278,6 @@ def test_sweep_summary_json_shape():
     assert doc["spec"]["kappa_grid"] == [1.0]
     assert doc["medians"][0]["completed"] == 3
     assert set(doc["exponents"]) == {"ssaid"}
-
-
-def test_threads_argument_validated():
-    with pytest.raises(InvalidParameterError):
-        kappa_sweep(small_spec(), threads=0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +355,18 @@ def test_cli_flag_the_command_ignores_exits_one(command, flag, capsys):
 
 
 _TINY_SWEEP = "--kappa-grid 2 --max-iters 10 --dim 2"
+
+
+def test_threads_argument_validated(tmp_path, capsys):
+    # --threads has no effect, but old command lines keep working and a
+    # count below 1 is still refused
+    for command in ("sweep", "compare"):
+        out = tmp_path / command
+        tiny = ["--seeds", "0", *_TINY_SWEEP.split(), "--out-dir", str(out)]
+        assert run_cli(command, "--threads", "0", *tiny) == 1
+        assert "error: threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(command, "--threads", "3", *tiny) == 0
 
 
 @pytest.mark.parametrize("argv,text", [

@@ -197,27 +197,38 @@ def test_stream_factory_draws_depend_only_on_the_address(data, addresses):
 
 
 @st.composite
-def _quadratics(draw, max_dim=4):
-    """A small quadratic instance with drawn noise channels."""
+def _quadratic_batches(draw, max_dim=4):
+    """1-3 small quadratic instances, as one sweep batch holds them: one
+    set of dimensions, drawn noise channels and problem seed, and distinct
+    kappa."""
     dim_x, dim_y = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
     noise = NoiseModel(sigma=draw(_SCALES), radius=draw(_SCALES),
                        hess_scale=draw(_SCALES))
-    kappa = 1.0 if dim_y == 1 else draw(st.floats(1.0, 30.0))
-    return make_quadratic_problem(dim_x, dim_y, kappa, noise=noise,
-                                  seed=draw(st.integers(0, 2**32 - 1)))
+    # a 1-D lower level has mu = L = 1
+    kappas = [1.0] if dim_y == 1 else draw(
+        st.lists(st.floats(1.0, 30.0), min_size=1, max_size=3, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return [make_quadratic_problem(dim_x, dim_y, kappa, noise=noise, seed=seed)
+            for kappa in kappas]
 
 
 _SEED_SETS = st.lists(st.integers(0, 50), min_size=1, max_size=5)
 
 
-@given(data=st.data(), problem=_quadratics(max_dim=5), seeds=_SEED_SETS,
+@given(data=st.data(), problems=_quadratic_batches(max_dim=5),
+       seeds=st.lists(st.integers(0, 3), min_size=1, max_size=6),
        shared_x=st.booleans())
-def test_stacked_quadratic_products_equal_one_row_calls(data, problem, seeds,
+def test_stacked_quadratic_products_equal_one_row_calls(data, problems, seeds,
                                                        shared_x):
+    # row i of the row-stacked view is problem owner[i]; seeds repeat often
     rows = len(seeds)
-    xs = data.draw(arrays(np.float64, (rows, problem.dim_x), elements=_VALUES),
+    owner = data.draw(st.lists(st.integers(0, len(problems) - 1),
+                               min_size=rows, max_size=rows), label="owner")
+    view = problems_mod._stack_quadratics([problems[o] for o in owner])
+    assert (view.dim_x, view.dim_y) == (problems[0].dim_x, problems[0].dim_y)
+    xs = data.draw(arrays(np.float64, (rows, view.dim_x), elements=_VALUES),
                    label="x")
-    y, v = (data.draw(arrays(np.float64, (rows, problem.dim_y),
+    y, v = (data.draw(arrays(np.float64, (rows, view.dim_y),
                              elements=_VALUES), label=name)
             for name in ("y", "v"))
     x = xs[0] if shared_x else xs
@@ -227,19 +238,20 @@ def test_stacked_quadratic_products_equal_one_row_calls(data, problem, seeds,
         return StreamFactory(seeds[i]).at(k, tag)
 
     stacked = {
-        "lower_grad_y": problem.lower_grad_y(x, y),
-        "lower_hess_vec": problem.lower_hess_vec(x, y, v),
-        "lower_cross_vec": problem.lower_cross_vec(x, y, v),
-        "sample_lower_grad": problem.sample_lower_grad(
+        "lower_grad_y": view.lower_grad_y(x, y),
+        "lower_hess_vec": view.lower_hess_vec(x, y, v),
+        "lower_cross_vec": view.lower_cross_vec(x, y, v),
+        "sample_lower_grad": view.sample_lower_grad(
             x, y, RowStreams(seeds).at(k, TAG_LOWER_GRAD), reps=rows),
-        "sample_upper_grads": np.concatenate(problem.sample_upper_grads(
+        "sample_upper_grads": np.concatenate(view.sample_upper_grads(
             x, y, RowStreams(seeds).at(k, TAG_UPPER_GRAD), reps=rows), axis=1),
-        "hvp": problem.sample_hess_operator(
+        "hvp": view.sample_hess_operator(
             x, RowStreams(seeds).at(k, TAG_HESS_OP), reps=rows)(y, v),
-        "jvp": problem.sample_cross_operator(
+        "jvp": view.sample_cross_operator(
             x, RowStreams(seeds).at(k, TAG_CROSS_OP), reps=rows)(y, v),
     }
     for i in range(rows):
+        problem = problems[owner[i]]
         xi, yi, vi = xs[0 if shared_x else i].copy(), y[i].copy(), v[i].copy()
         single = {
             "lower_grad_y": problem.lower_grad_y(xi, yi),
@@ -256,6 +268,21 @@ def test_stacked_quadratic_products_equal_one_row_calls(data, problem, seeds,
         }
         for name, want in single.items():
             assert np.array_equal(stacked[name][i], want), name
+
+    # rows of one seed draw that seed's bytes at the address, also after
+    # select drops some of them and keeps others
+    keep = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)
+                     .filter(any), label="keep")
+    streams = RowStreams(seeds)
+    streams.select(keep)
+    live = [seed for seed, kept in zip(seeds, keep) if kept]
+    slot = data.draw(st.integers(0, 3), label="slot")
+    normal = streams.at(k, TAG_LOWER_GRAD, slot).standard_normal((len(live), 3))
+    uniform = streams.at(k, TAG_HESS_OP, slot).uniform(0.0, 2.0, (len(live),))
+    for i, seed in enumerate(live):
+        assert normal[i].tobytes() == stream(
+            seed, k, TAG_LOWER_GRAD, slot).standard_normal(3).tobytes()
+        assert uniform[i] == stream(seed, k, TAG_HESS_OP, slot).uniform(0.0, 2.0)
 
 
 class _InfiniteDraws:
@@ -315,7 +342,7 @@ def _cell_from_trace(trace, epsilon):
     return None, True
 
 
-@given(problem=_quadratics(), seeds=_SEED_SETS,
+@given(problems=_quadratic_batches(), seeds=_SEED_SETS,
        algorithm=st.one_of(st.just("ssaid"),
                            st.builds("multiloop:{}:{}".format,
                                      st.integers(1, 3), st.integers(1, 3))),
@@ -324,20 +351,23 @@ def _cell_from_trace(trace, epsilon):
        pivot=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 1.0, 0.5, 2.0]),
        poison=st.one_of(st.none(), st.tuples(st.integers(0, 4),
                                              st.integers(0, 3))))
-@example(problem=make_quadratic_problem(4, 4, 5.0, noise=NoiseModel(sigma=1.0)),
+# nine crossings and one divergence
+@example(problems=[make_quadratic_problem(4, 4, kappa,
+                                          noise=NoiseModel(sigma=1.0))
+                   for kappa in (5.0, 2.0)],
          seeds=[0, 1, 2, 3], algorithm="ssaid", max_iters=1000, checks=64,
-         pivot=0.6, scale=1.0, poison=(2, 300))  # four crossings, one divergence
-def test_lock_step_group_equals_one_seed_cells(problem, seeds, algorithm,
+         pivot=0.6, scale=1.0, poison=(2, 300))
+def test_lock_step_group_equals_one_seed_cells(problems, seeds, algorithm,
                                                max_iters, checks, pivot,
                                                scale, poison):
     kind, preset = harness.parse_algorithm(algorithm, 1.0)
     with pytest.MonkeyPatch.context() as mp:
         # fewer checks per run, so that small caps have strides above 1
         mp.setattr(harness, "_SWEEP_CHECKS", checks)
-        # epsilon is the first seed's running average at a drawn check row,
-        # so the seeds cross near that row, at different rows, or never
+        # epsilon is the first row's running average at a drawn check row,
+        # so the rows cross near that row, at different rows, or never
         # (scale 0.5), or at the first row (scale 2)
-        first = _trace(problem, kind, preset, seeds[0], max_iters)
+        first = _trace(problems[0], kind, preset, seeds[0], max_iters)
         ra = first.running_average()
         epsilon = scale * float(ra[round(pivot * (ra.size - 1))])
         if poison is not None:
@@ -346,16 +376,19 @@ def test_lock_step_group_equals_one_seed_cells(problem, seeds, algorithm,
             seeds = seeds[:position] + [_POISONED_SEED] + seeds[position:]
             for module in (streams_mod, core):
                 mp.setattr(module, "StreamFactory", _poisoned_factory(start))
-        group = harness._run_group(problem, kind, preset, tuple(seeds),
-                                   epsilon, max_iters)
-        cells = [harness._run_to_epsilon(problem, kind, preset, s, epsilon,
-                                         max_iters) for s in seeds]
-        brute = [_cell_from_trace(_trace(problem, kind, preset, s, max_iters),
-                                  epsilon) for s in seeds]
+        # every problem's rows follow the same seeds, as in a sweep batch
+        rows = [(problem, seed) for problem in problems for seed in seeds]
+        group = harness._run_group(rows, kind, preset, epsilon, max_iters)
+        cells = [harness._run_to_epsilon(problem, kind, preset, seed, epsilon,
+                                         max_iters) for problem, seed in rows]
+        brute = [_cell_from_trace(_trace(problem, kind, preset, seed,
+                                         max_iters), epsilon)
+                 for problem, seed in rows]
     assert group == cells == brute
-    if poison is not None and poison[1] == 0 and problem.stochastic_tags:
+    if poison is not None and poison[1] == 0 and problems[0].stochastic_tags:
         # it diverges in its first step, before any check row
-        assert group[seeds.index(_POISONED_SEED)] == (None, True)
+        assert all(out == (None, True) for out, (_, seed) in zip(group, rows)
+                   if seed == _POISONED_SEED)
 
 
 @given(problem=_problems(), data=st.data())

@@ -20,6 +20,8 @@ from ssaid.ssaid import (
     RunConfig,
     SSAIDState,
     _finite,
+    _finite_rows,
+    _small,
     run_ssaid,
     ssaid_step,
 )
@@ -281,16 +283,34 @@ def test_strided_trace_keeps_stride_final_and_initial_rows():
 
 
 def test_finite_check_equals_summed_reductions():
-    # the magnitude shortcut must agree with the plain check, including
-    # finite entries whose sums overflow and sums that cancel back
-    big = 1e308
+    # the vdot pre-check and the magnitude shortcut must agree with the
+    # plain check: nan and inf entries, entries near 1e160 whose squares
+    # overflow while their magnitudes do not, finite entries whose sums
+    # overflow, and sums that cancel back
+    big, near = 1e308, 1e160
     vecs = [np.zeros(3), np.full(3, 1e299), np.full(3, big), np.full(3, -big),
             np.array([big, -big, 1.0]), np.array([big, big, -big]),
-            np.array([np.nan, 0.0, 0.0]), np.array([-np.inf, 1.0, 0.0])]
+            np.array([np.nan, 0.0, 0.0]), np.array([-np.inf, 1.0, 0.0]),
+            np.array([np.inf, 0.0, 0.0]), np.full(3, near),
+            np.array([-near, 2.0 * near, 0.5])]
+
+    def rule(x, y, v):
+        # the check as the iterates' summed reductions
+        return math.isfinite(float(x.sum()) + float(y.sum()) + float(v.sum()))
+
+    zero = np.zeros(3)
     with np.errstate(over="ignore", invalid="ignore"):
         for x in vecs:
             for y in vecs:
-                for v in (np.zeros(3), np.full(3, big)):
-                    want = math.isfinite(float(x.sum()) + float(y.sum())
-                                         + float(v.sum()))
-                    assert _finite(x, y, v) == want, (x, y, v)
+                for v in (zero, np.full(3, big), np.full(3, near)):
+                    assert _finite(x, y, v) == rule(x, y, v), (x, y, v)
+                # stacked rows: each row's own verdict
+                xs, ys, vs = (np.stack([x, y, zero]), np.stack([y, zero, x]),
+                              np.stack([zero, x, y]))
+                assert _finite_rows(xs, ys, vs) == [
+                    rule(*row) for row in zip(xs, ys, vs)], (x, y)
+        # squares that overflow leave the verdict to the fallback
+        assert not _small(np.full(3, near), zero, zero)
+        assert _finite(np.full(3, near), zero, zero)
+        assert _finite_rows(np.full((2, 3), near), np.zeros((2, 3)),
+                            np.zeros((2, 3))) == [True, True]
