@@ -358,7 +358,8 @@ def kappa_sweep(spec: SweepSpec) -> SweepResult:
     for kappa in spec.kappa_grid:
         for alg in spec.algorithms:
             kind, preset = parse_algorithm(alg, kappa)
-            _start(problems[kappa], kind, spec.max_iters)   # the rate check
+            if kind == "multiloop":
+                _start(problems[kappa], kind, spec.max_iters)   # the rate check
             batches.setdefault((kind, preset), []).append((kappa, alg))
     rows = []
     for (kind, preset), groups in batches.items():

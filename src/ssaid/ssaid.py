@@ -141,22 +141,18 @@ def _small(x, y, v) -> bool:
 
 def _finite(x, y, v) -> bool:
     """Whether the entries of the three iterates sum to a finite number,
-    which fails on any nan or inf and on overflow.  Past ``_small``, a
-    magnitude sum below 1e300, on Python floats, settles it as well."""
-    if _small(x, y, v) or (
-            sum(map(abs, x.tolist())) + sum(map(abs, y.tolist()))
-            + sum(map(abs, v.tolist()))) < 1e300:
+    which fails on any nan or inf and on overflow.  ``_small`` settles the
+    common case; past it the summed reductions decide."""
+    if _small(x, y, v):
         return True
     add = np.add.reduce
     return math.isfinite(float(add(x)) + float(add(y)) + float(add(v)))
 
 
 def _finite_rows(x, y, v) -> list:
-    """``_finite`` of each row of stacked iterates; ``_small`` or the
-    magnitude sum over all rows settles the common case at once."""
-    if _small(x, y, v) or (
-            sum(map(abs, x.ravel().tolist())) + sum(map(abs, y.ravel().tolist()))
-            + sum(map(abs, v.ravel().tolist()))) < 1e300:
+    """``_finite`` of each row of stacked iterates; ``_small`` over all rows
+    settles the common case at once."""
+    if _small(x, y, v):
         return [True] * len(x)
     return [_finite(*row) for row in zip(x, y, v)]
 

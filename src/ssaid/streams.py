@@ -104,12 +104,13 @@ class StreamFactory:
 class RowStreams:
     """Draw source for stacked rows that each follow their own seed.
 
-    Rows may share a seed.  ``at(k, tag, slot)`` records the address; a
-    draw of shape ``(rows, *shape)`` then positions each distinct seed's
-    StreamFactory there, draws ``shape`` once per seed and gathers the rows,
-    so with ``reps=rows`` row i gets exactly the bytes a one-seed run under
-    its seed draws there.  ``select`` drops the rows that left the batch,
-    and with them the seeds no row follows any more.
+    Rows may share a seed.  ``at(k, tag, slot)`` positions each distinct
+    seed's StreamFactory at that address.  A draw of shape ``(rows, *shape)``
+    then draws ``shape`` once per seed and gathers the rows, so with
+    ``reps=rows`` row i gets exactly the bytes a one-seed run under its seed
+    draws there; a further draw continues each seed's stream.  ``select``
+    drops the rows that left the batch, and with them the seeds no row
+    follows any more.
     """
 
     def __init__(self, seeds):
@@ -117,7 +118,7 @@ class RowStreams:
         distinct = list(dict.fromkeys(seeds))
         self.factories = [StreamFactory(s) for s in distinct]
         self._rows = np.array([distinct.index(s) for s in seeds])
-        self._address = None
+        self._gens = []
 
     def select(self, keep):
         live, self._rows = np.unique(self._rows[np.asarray(keep, dtype=bool)],
@@ -125,15 +126,15 @@ class RowStreams:
         self.factories = [self.factories[i] for i in live.tolist()]
 
     def at(self, iteration: int, tag: int, slot: int = 0) -> "RowStreams":
-        self._address = (iteration, tag, slot)
+        self._gens = [f.at(iteration, tag, slot) for f in self.factories]
         return self
 
     def standard_normal(self, size):
-        out = np.empty((len(self.factories), *size[1:]))
-        for factory, row in zip(self.factories, out):
-            factory.at(*self._address).standard_normal(out=row)
+        out = np.empty((len(self._gens), *size[1:]))
+        for gen, row in zip(self._gens, out):
+            gen.standard_normal(out=row)
         return out.take(self._rows, axis=0)
 
     def uniform(self, low, high, size):
-        return np.array([factory.at(*self._address).uniform(low, high, size[1:])
-                         for factory in self.factories]).take(self._rows, axis=0)
+        return np.array([gen.uniform(low, high, size[1:])
+                         for gen in self._gens]).take(self._rows, axis=0)

@@ -277,11 +277,15 @@ def test_stacked_quadratic_products_equal_one_row_calls(data, problems, seeds,
     streams.select(keep)
     live = [seed for seed, kept in zip(seeds, keep) if kept]
     slot = data.draw(st.integers(0, 3), label="slot")
-    normal = streams.at(k, TAG_LOWER_GRAD, slot).standard_normal((len(live), 3))
+    # and a second draw after one ``at`` continues each seed's stream
+    streams.at(k, TAG_LOWER_GRAD, slot)
+    normal = streams.standard_normal((len(live), 3))
+    again = streams.standard_normal((len(live), 3))
     uniform = streams.at(k, TAG_HESS_OP, slot).uniform(0.0, 2.0, (len(live),))
     for i, seed in enumerate(live):
-        assert normal[i].tobytes() == stream(
-            seed, k, TAG_LOWER_GRAD, slot).standard_normal(3).tobytes()
+        gen = stream(seed, k, TAG_LOWER_GRAD, slot)
+        assert normal[i].tobytes() == gen.standard_normal(3).tobytes()
+        assert again[i].tobytes() == gen.standard_normal(3).tobytes()
         assert uniform[i] == stream(seed, k, TAG_HESS_OP, slot).uniform(0.0, 2.0)
 
 

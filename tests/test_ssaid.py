@@ -283,10 +283,10 @@ def test_strided_trace_keeps_stride_final_and_initial_rows():
 
 
 def test_finite_check_equals_summed_reductions():
-    # the vdot pre-check and the magnitude shortcut must agree with the
-    # plain check: nan and inf entries, entries near 1e160 whose squares
-    # overflow while their magnitudes do not, finite entries whose sums
-    # overflow, and sums that cancel back
+    # the vdot pre-check and its fallback must agree with the plain check:
+    # nan and inf entries, entries near 1e160 whose squares overflow while
+    # their sums do not, finite entries whose sums overflow, and sums that
+    # cancel back
     big, near = 1e308, 1e160
     vecs = [np.zeros(3), np.full(3, 1e299), np.full(3, big), np.full(3, -big),
             np.array([big, -big, 1.0]), np.array([big, big, -big]),
