@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
-from .hypergradient import StepSizes, check_lower_rates
+from .hypergradient import StepSizes
 from .problems import (NoiseModel, _json_text, _row_dot, _stack_quadratics,
                        make_logistic_problem, make_quadratic_problem,
                        problem_from_json, problem_hash, problem_to_json,
@@ -128,18 +128,19 @@ def rate_fit(trace: IterationTrace, k_window) -> RateFit:
 # sweeps
 
 
-def parse_algorithm(name: str, kappa: float):
-    """Algorithm preset -> (kind, (inner_iters, solver_iters) or None).
+def parse_algorithm(name: str, kappa: float) -> tuple:
+    """Algorithm preset -> (inner_iters, solver_iters).
 
-    "ssaid" is the single-loop method; "multiloop" uses ceil(kappa) inner
-    and solver steps; "multiloop:N:Q" pins explicit counts.  Colons keep
-    the names comma-free so algorithm lists and CSV rows split cleanly.
+    "ssaid" is the single-loop method, which is the multi-loop step at
+    (1, 1); "multiloop" uses ceil(kappa) inner and solver steps;
+    "multiloop:N:Q" pins explicit counts.  Colons keep the names comma-free
+    so algorithm lists and CSV rows split cleanly.
     """
     if name == "ssaid":
-        return "ssaid", None
+        return 1, 1
     if name == "multiloop":
         n = max(1, math.ceil(kappa))
-        return "multiloop", (n, n)
+        return n, n
     if name.startswith("multiloop:"):
         body = name[len("multiloop:"):]
         parts = body.split(":")
@@ -153,7 +154,7 @@ def parse_algorithm(name: str, kappa: float):
                 f"non-integer loop counts in {name!r}") from exc
         if n < 1 or q < 1:
             raise InvalidParameterError("loop counts must be >= 1")
-        return "multiloop", (n, q)
+        return n, q
     raise InvalidParameterError(f"unknown algorithm {name!r}")
 
 
@@ -219,21 +220,13 @@ class SweepResult:
     exponents: dict      # algorithm -> log-log slope of median vs kappa
 
 
-def _start(problem, kind, max_iters):
-    """The start state of a sweep cell's run on ``problem``: the zero start
-    and the automatic step sizes for ``max_iters`` iterations.  A multiloop
-    run's lower and adjoint rates must be at most 1/L."""
-    state = _setup(problem, RunConfig(seed=0, horizon=max_iters))[0]
-    if kind == "multiloop":
-        check_lower_rates(state.steps, problem.constants)
-    return state
-
-
-def _run_group(rows, kind, preset, epsilon, max_iters):
+def _run_group(rows, preset, epsilon, max_iters):
     """The sweep cells of ``rows``, (quadratic problem, seed) pairs of one
-    algorithm preset, run in lock-step.  Each row's run iterates until the running
-    average of the exact stationarity measure (over check rows) drops to
-    epsilon.  The problems must share their dimensions and noise.
+    preset (inner_iters, solver_iters), run in lock-step.  Each row's run
+    starts at zero with the automatic step sizes for max_iters iterations,
+    and iterates until the running average of the exact stationarity
+    measure (over check rows) drops to epsilon.  The problems must share
+    their dimensions and noise.
 
     The running rows are the rows of stacked (rows, d) iterates, and one
     ``iterate`` call advances them all on the row-stacked view of their
@@ -246,30 +239,24 @@ def _run_group(rows, kind, preset, epsilon, max_iters):
 
     Returns (complexity, censored) per row: the oracle count at the
     crossing, or (None, True) if the run diverged or never resolved within
-    max_iters.  A check row makes one stacked reference solve per problem
-    over its running rows, each row with its one-seed bits.
+    max_iters.  A check row makes one reference solve on the view of its
+    running rows, each row with its one-problem bits.
     """
-    index, problems = {}, []
-    for problem, _ in rows:
-        if id(problem) not in index:
-            index[id(problem)] = len(problems)
-            problems.append(problem)
-    owner = [index[id(problem)] for problem, _ in rows]
-    starts = [_start(problem, kind, max_iters) for problem in problems]
-    # the single loop's step is the baseline's at N = Q = 1
-    n, q = preset or (1, 1)
+    starts = [_setup(problem, RunConfig(seed=0, horizon=max_iters))[0]
+              for problem, _ in rows]
+    n, q = preset
     inner, solver = range(n), range(q)
     cost = max(_oracle_bill(n, q))
     stride = max(1, max_iters // _SWEEP_CHECKS)
     streams = RowStreams([seed for _, seed in rows])
     live = list(range(len(rows)))      # the row of each batch row
-    x, y, v = (np.stack([getattr(starts[p], name) for p in owner])
+    x, y, v = (np.stack([getattr(start, name) for start in starts])
                for name in ("x", "y_hat", "v_hat"))
-    view = _stack_quadratics([problems[p] for p in owner])
+    view = _stack_quadratics([problem for problem, _ in rows])
     # each row's step sizes, across the whole row: numpy scales by such an
     # array as fast as by a 0-d one, and twice as slowly by a (rows, 1) column
-    steps = [starts[p].steps for p in owner]
-    alpha, eta, beta = (np.array([[getattr(s, name)] * dim for s in steps])
+    alpha, eta, beta = (np.array([[getattr(start.steps, name)] * dim
+                                  for start in starts])
                         for name, dim in (("alpha", view.dim_y),
                                           ("eta", view.dim_y),
                                           ("beta", view.dim_x)))
@@ -284,12 +271,11 @@ def _run_group(rows, kind, preset, epsilon, max_iters):
         keep = _finite_rows(x, y, v)   # a diverged run never crossed
         if k % stride == 0 or k == max_iters - 1:
             n_checks += 1
-            for p, problem in enumerate(problems):
-                batch = [i for i, row in enumerate(live)
-                         if keep[i] and owner[row] == p]
-                if not batch:
-                    continue
-                grad_phi = reference_solution(problem, x_before[batch]).grad_phi
+            batch = [i for i, kept in enumerate(keep) if kept]
+            if batch:
+                part = view if len(batch) == len(live) else _stack_quadratics(
+                    [rows[live[i]][0] for i in batch])
+                grad_phi = reference_solution(part, x_before[batch]).grad_phi
                 for i, sq in zip(batch, _row_dot(grad_phi, grad_phi).tolist()):
                     row = live[i]
                     totals[row] += sq
@@ -302,14 +288,17 @@ def _run_group(rows, kind, preset, epsilon, max_iters):
                 break
             x, y, v, alpha, eta, beta = (a[keep] for a in
                                          (x, y, v, alpha, eta, beta))
-            view = _stack_quadratics([problems[owner[row]] for row in live])
+            view = _stack_quadratics([rows[row][0] for row in live])
             streams.select(keep)
     return outcomes
 
 
 def _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters):
-    """One sweep cell: the one-row case of ``_run_group``."""
-    return _run_group([(problem, seed)], kind, preset, epsilon, max_iters)[0]
+    """One sweep cell: the one-row case of ``_run_group``.  ``kind`` is
+    unused and a ``preset`` of None means (1, 1); the benchmark's tracer and
+    tests call this signature."""
+    return _run_group([(problem, seed)], preset or (1, 1), epsilon,
+                      max_iters)[0]
 
 
 def _summarize(rows, spec: SweepSpec):
@@ -345,10 +334,10 @@ def _summarize(rows, spec: SweepSpec):
 def kappa_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (kappa, seed, algorithm) cell and summarize.
 
-    The cells of one algorithm preset, (kind, N, Q), run as one lock-step
-    batch (``_run_group``) whose rows are every (kappa, seed) pair that
-    uses it.  A multiloop rate check that fails raises before any batch
-    runs, for the first failing (kappa, algorithm) in grid order.
+    The cells of one preset (inner_iters, solver_iters) run as one
+    lock-step batch (``_run_group``) whose rows are every (kappa, seed)
+    pair that uses it; "ssaid" is the (1, 1) preset.  A sweep takes the
+    automatic steps, alpha = eta = 1/L, so it runs no multiloop rate check.
     """
     problems = {kappa: make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,
                                               seed=spec.problem_seed,
@@ -357,17 +346,14 @@ def kappa_sweep(spec: SweepSpec) -> SweepResult:
     batches = {}
     for kappa in spec.kappa_grid:
         for alg in spec.algorithms:
-            kind, preset = parse_algorithm(alg, kappa)
-            if kind == "multiloop":
-                _start(problems[kappa], kind, spec.max_iters)   # the rate check
-            batches.setdefault((kind, preset), []).append((kappa, alg))
+            batches.setdefault(parse_algorithm(alg, kappa), []).append(
+                (kappa, alg))
     rows = []
-    for (kind, preset), groups in batches.items():
+    for preset, groups in batches.items():
         cells = [(kappa, seed, alg) for kappa, alg in groups
                  for seed in spec.seeds]
         outcomes = _run_group([(problems[kappa], seed) for kappa, seed, _
-                               in cells], kind, preset, spec.epsilon,
-                              spec.max_iters)
+                               in cells], preset, spec.epsilon, spec.max_iters)
         rows.extend(SweepRow(*cell, *out) for cell, out in zip(cells, outcomes))
     rows.sort(key=lambda r: (r.kappa, r.seed, r.algorithm))
     medians, exponents = _summarize(rows, spec)
@@ -401,8 +387,8 @@ def _command(subs, name, summary, extra):
     sub = subs.add_parser(
         name, help=summary, allow_abbrev=False,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    for flag, (kind, default, text) in extra.items():
-        sub.add_argument(flag, type=kind, default=default, help=text)
+    for flag, (convert, default, text) in extra.items():
+        sub.add_argument(flag, type=convert, default=default, help=text)
     sub.add_argument("--out-dir", default=os.environ.get("SSAID_OUT_DIR", "."),
                      help="output directory, SSAID_OUT_DIR if set")
     sub.add_argument("--config",
@@ -410,11 +396,11 @@ def _command(subs, name, summary, extra):
     return sub
 
 
-def _list_type(kind):
-    """argparse type of a comma-separated list of ``kind`` values."""
+def _list_type(convert):
+    """argparse type of a comma-separated list of ``convert`` values."""
     def parse(text):
-        return tuple(kind(p) for p in text.split(",") if p.strip())
-    parse.__name__ = f"{kind.__name__} list"   # argparse's error names it
+        return tuple(convert(p) for p in text.split(",") if p.strip())
+    parse.__name__ = f"{convert.__name__} list"   # argparse's error names it
     return parse
 
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -911,7 +912,8 @@ _PART_READERS = {
 
 def _json_default(o):
     if is_dataclass(o):
-        return asdict(o)
+        # one level: the encoder calls back for each nested dataclass
+        return {f.name: getattr(o, f.name) for f in fields(o)}
     if isinstance(o, (np.ndarray, np.generic)):
         return o.tolist()
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
@@ -919,9 +921,12 @@ def _json_default(o):
 
 def _json_text(doc) -> str:
     """The text of every JSON artifact: ``doc`` with sorted keys, each
-    dataclass in it as its fields (``dataclasses.asdict``), each array or
-    numpy scalar as its ``tolist()``."""
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+    dataclass in it as its fields, each array or numpy scalar as its
+    ``tolist()``.  It is encoded straight into one buffer, with no deep copy
+    of the document and no list of its chunks."""
+    buf = io.StringIO()
+    json.dump(doc, buf, sort_keys=True, indent=2, default=_json_default)
+    return buf.getvalue()
 
 
 def problem_to_json(problem) -> str:

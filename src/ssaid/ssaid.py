@@ -124,8 +124,9 @@ def iterate(problem, factory: StreamFactory, k, x, y, v, alpha, eta, inner,
     rhs = eta * gy   # the one right-hand side of every adjoint step
     for j in solver:
         gen = factory.at(k, TAG_HESS_OP, slot + j) if TAG_HESS_OP in tags else None
-        hvp = problem.sample_hess_operator(x, gen, reps=reps)
-        v = v - eta * hvp(y, v) + rhs
+        # applied at once, so its draw (a logistic minibatch) is freed
+        # before the cross draw
+        v = v - eta * problem.sample_hess_operator(x, gen, reps=reps)(y, v) + rhs
     gen = factory.at(k, TAG_CROSS_OP, slot) if TAG_CROSS_OP in tags else None
     jvp = problem.sample_cross_operator(x, gen, reps=reps)
     return y, v, gy, gx - jvp(y, v)
@@ -201,12 +202,18 @@ class IterationTrace:
     derived: DerivedConstants | None = field(default=None, compare=False)
 
     @classmethod
-    def from_rows(cls, rows, final_state=None, steps=None,
-                  derived=None) -> "IterationTrace":
-        cols = list(zip(*rows)) if rows else [[] for _ in TRACE_COLUMNS]
-        return cls(**{name: np.asarray(col).astype(kind) for name, kind, col
-                      in zip(TRACE_COLUMNS, _TRACE_TYPES, cols)},
+    def from_columns(cls, cols, final_state=None, steps=None,
+                     derived=None) -> "IterationTrace":
+        """The trace of ``cols``, one sequence per ``TRACE_COLUMNS`` name."""
+        return cls(**{name: np.asarray(col).astype(kind, copy=False)
+                      for name, kind, col in zip(TRACE_COLUMNS, _TRACE_TYPES,
+                                                 cols)},
                    final_state=final_state, steps=steps, derived=derived)
+
+    @classmethod
+    def from_rows(cls, rows, **extra) -> "IterationTrace":
+        return cls.from_columns(list(zip(*rows)) if rows
+                                else [[] for _ in TRACE_COLUMNS], **extra)
 
     @property
     def n_rows(self) -> int:
@@ -217,10 +224,17 @@ class IterationTrace:
         return np.cumsum(self.grad_phi_sq) / np.arange(1, self.n_rows + 1)
 
     def csv_text(self) -> str:
-        cols = [getattr(self, name).tolist() for name in TRACE_COLUMNS]
-        lines = [",".join(TRACE_COLUMNS)]
-        lines.extend(",".join(map(repr, row)) for row in zip(*cols))
-        return "\n".join(lines) + "\n"
+        """The header, then each row's values' reprs, one line per row.  The
+        rows are formatted one block at a time, and the text is joined once
+        from the blocks' texts."""
+        cols = [getattr(self, name) for name in TRACE_COLUMNS]
+        parts = [",".join(TRACE_COLUMNS)]
+        for start in range(0, self.n_rows, _SOLVE_BLOCK):
+            block = [col[start:start + _SOLVE_BLOCK].tolist() for col in cols]
+            parts.append("\n".join(",".join(map(repr, row))
+                                   for row in zip(*block)))
+        parts.append("")   # the final newline, without copying the text
+        return "\n".join(parts)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "IterationTrace":
@@ -261,23 +275,21 @@ def resolve_step_sizes(problem, config: RunConfig, v0: np.ndarray) -> StepSizes:
     return _setup(problem, dataclasses.replace(config, v0=v0))[0].steps
 
 
-def _reference_rows(problem, buffered, counts):
-    """Trace rows of the buffered (k, x_before, state) triples, from one
+def _reference_columns(problem, buffered, counts) -> list:
+    """Trace columns of the buffered (k, x_before, state) triples, from one
     stacked reference solve; every norm is one ddot per row, so each row
     has the bits of its one-row computation.  ``counts`` is the
     per-iteration (gradient, matrix-vector) oracle bill."""
-    ks = [k for k, _, _ in buffered]
+    ks = np.array([k for k, _, _ in buffered])
     x = np.stack([x_before for _, x_before, _ in buffered])
     x_new, y_hat, v_hat = (np.stack([getattr(st, name) for _, _, st in buffered])
                            for name in ("x", "y_hat", "v_hat"))
     ref = reference_solution(problem, x)
-    cols = (_row_dot(ref.grad_phi, ref.grad_phi),
+    gc, mv = counts
+    return [ks, _row_dot(ref.grad_phi, ref.grad_phi),
             _row_norm(y_hat - ref.y_star), _row_norm(v_hat - ref.v_star),
             _row_norm(v_hat), _row_norm(x_new - x),
-            problem.upper.value(x, ref.y_star))
-    gc, mv = counts
-    return [(k, *vals, gc * (k + 1), mv * (k + 1))
-            for k, *vals in zip(ks, *(c.tolist() for c in cols))]
+            problem.upper.value(x, ref.y_star), gc * (ks + 1), mv * (ks + 1)]
 
 
 def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
@@ -287,15 +299,21 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
     the per-iteration oracle bill (``_oracle_bill``) and ``derived`` the
     run's constants, which the trace carries.  Horizon 0 records the
     initial point.  Rows are buffered and solved in blocks of
-    ``_SOLVE_BLOCK``; a DivergenceError leaves carrying every row recorded
-    before it."""
+    ``_SOLVE_BLOCK``, and kept as column arrays per block; a DivergenceError
+    leaves carrying every row recorded before it."""
     steps, horizon, stride = state.steps, config.horizon, config.stride
-    rows, pending = [], []
+    blocks, pending = [], []
 
     def flush(bill=counts):
         if pending:
-            rows.extend(_reference_rows(problem, pending, bill))
+            blocks.append(_reference_columns(problem, pending, bill))
             pending.clear()
+
+    def trace(final_state):
+        cols = ([np.concatenate(col) for col in zip(*blocks)] if blocks
+                else [[] for _ in TRACE_COLUMNS])
+        return IterationTrace.from_columns(cols, final_state=final_state,
+                                           steps=steps, derived=derived)
 
     try:
         for k in range(horizon):
@@ -307,16 +325,14 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
                     flush()
     except DivergenceError as err:
         flush()
-        err.trace = IterationTrace.from_rows(rows, final_state=err.state,
-                                             steps=steps, derived=derived)
+        err.trace = trace(err.state)
         raise
     flush()
-    if not rows:
+    if not blocks:
         # the initial point, with no step taken and no oracle called
         pending.append((0, state.x, state))
         flush((0, 0))
-    return IterationTrace.from_rows(rows, final_state=state, steps=steps,
-                                    derived=derived)
+    return trace(state)
 
 
 def _setup(problem, config: RunConfig):

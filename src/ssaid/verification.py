@@ -77,7 +77,7 @@ class MCConfig:
         object.__setattr__(self, "checkpoints", pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRow:
     k: int
     lhs: float
@@ -200,24 +200,24 @@ def check_v_bound(ks, v_norms, constants: ProblemConstants,
 
 @dataclass
 class _History:
-    xs: list          # x entering iteration t, t = 0..T (length T+1)
-    ys: list          # lower iterate entering iteration t (length T+1)
-    vs: list          # adjoint iterate entering iteration t (length T+1)
-    gys: list         # realized upper-gradient-in-y sample at iteration t
+    xs: np.ndarray    # (T+1, dim_x): x entering iteration t, t = 0..T
+    ys: np.ndarray    # (T+1, dim_y): lower iterate entering iteration t
+    vs: np.ndarray    # (T+1, dim_y): adjoint iterate entering iteration t
+    gys: np.ndarray   # (T, dim_y): realized upper-gradient-in-y sample at t
 
 
 def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
     """Replay the run's steps, capturing the per-iteration upper-gradient
-    sample alongside the iterates.  Stream addresses match the runner
-    exactly."""
+    sample alongside the iterates, into arrays allocated up front.  Stream
+    addresses match the runner exactly."""
     state, factory, _ = _setup(problem, config)
-    hist = _History(xs=[state.x], ys=[state.y_hat], vs=[state.v_hat], gys=[])
-    for _ in range(horizon):
-        state, gy = _advance(state, problem, factory, _ONCE, _ONCE)
-        hist.xs.append(state.x)
-        hist.ys.append(state.y_hat)
-        hist.vs.append(state.v_hat)
-        hist.gys.append(gy)
+    m, n = problem.dim_x, problem.dim_y
+    hist = _History(xs=np.empty((horizon + 1, m)), ys=np.empty((horizon + 1, n)),
+                    vs=np.empty((horizon + 1, n)), gys=np.empty((horizon, n)))
+    hist.xs[0], hist.ys[0], hist.vs[0] = state.x, state.y_hat, state.v_hat
+    for t in range(1, horizon + 1):
+        state, hist.gys[t - 1] = _advance(state, problem, factory, _ONCE, _ONCE)
+        hist.xs[t], hist.ys[t], hist.vs[t] = state.x, state.y_hat, state.v_hat
     return hist
 
 
@@ -248,7 +248,7 @@ def _ref_cache(problem, hist: _History, ts):
     """``ref(t)``, the reference solution at history point t, for every t in
     ``ts``; one stacked solve, each row with the bits of its 1-D solve."""
     ts = sorted(set(ts))
-    sol = reference_solution(problem, np.stack([hist.xs[t] for t in ts]))
+    sol = reference_solution(problem, hist.xs[ts])
     return {t: ReferenceSolution(
                 sol.y_star[i], sol.v_star[i], sol.grad_phi[i],
                 {name: res[i] for name, res in sol.residuals.items()})
@@ -569,8 +569,8 @@ def _v_bound_report(problem, config: RunConfig) -> LemmaReport:
     """VBound on the adjoint iterate of each replayed step; horizon 0
     scans the start, the row a run records then."""
     hist = _simulate_history(problem, config, config.horizon)
-    vs = hist.vs[1:] or hist.vs[:1]
-    return check_v_bound(range(len(vs)), _row_norm(np.stack(vs)).tolist(),
+    vs = hist.vs[1:] if config.horizon else hist.vs
+    return check_v_bound(range(len(vs)), _row_norm(vs).tolist(),
                          problem.constants, _setup(problem, config)[2])
 
 

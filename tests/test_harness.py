@@ -3,6 +3,7 @@ algorithm presets, and the CLI contract (exit codes, determinism, config
 files)."""
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,10 +24,11 @@ from ssaid.harness import (RateFit, SweepSpec, _build_parser, _run_to_epsilon,
                            cli, kappa_sweep, main, parse_algorithm, rate_fit,
                            sweep_csv, sweep_summary_json)
 from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
-                            QuadraticBilevelProblem, make_quadratic_problem,
+                            QuadraticBilevelProblem, _json_text,
+                            make_logistic_problem, make_quadratic_problem,
                             problem_to_json)
 from ssaid.ssaid import TRACE_COLUMNS, IterationTrace, RunConfig, run_ssaid
-from ssaid.verification import LEMMA_IDS
+from ssaid.verification import LEMMA_IDS, MCConfig, run_lemma_suite
 
 
 def trace_with_running_average(values):
@@ -113,10 +115,10 @@ def test_rate_fit_freezes_window():
 
 
 def test_parse_algorithm_presets():
-    assert parse_algorithm("ssaid", 10.0) == ("ssaid", None)
-    assert parse_algorithm("multiloop", 10.0) == ("multiloop", (10, 10))
-    assert parse_algorithm("multiloop", 2.5) == ("multiloop", (3, 3))
-    assert parse_algorithm("multiloop:3:7", 50.0) == ("multiloop", (3, 7))
+    assert parse_algorithm("ssaid", 10.0) == (1, 1)
+    assert parse_algorithm("multiloop", 10.0) == (10, 10)
+    assert parse_algorithm("multiloop", 2.5) == (3, 3)
+    assert parse_algorithm("multiloop:3:7", 50.0) == (3, 7)
 
 
 @pytest.mark.parametrize("name", [
@@ -191,24 +193,6 @@ def test_sweep_rows_sorted_and_deterministic():
     assert keys == sorted(keys)
     assert sweep_csv(a).splitlines()[0] == \
         "kappa,seed,algorithm,complexity,censored"
-
-
-def test_sweep_rate_check_fails_first_in_grid_order(monkeypatch):
-    # automatic steps always pass the multiloop rate check, so a stand-in
-    # fails it above kappa 4; the first failing (kappa, algorithm) in grid
-    # order raises, before any batch runs
-    def check(steps, constants):
-        if constants.kappa > 4.0:
-            raise InvalidParameterError(
-                f"rate check failed at kappa {constants.kappa:.3g}")
-
-    monkeypatch.setattr(harness, "check_lower_rates", check)
-    monkeypatch.setattr(harness, "_run_group",
-                        lambda *args: pytest.fail("a batch ran"))
-    spec = small_spec(kappa_grid=(2.0, 5.0, 10.0),
-                      algorithms=("ssaid", "multiloop:3:3"))
-    with pytest.raises(InvalidParameterError, match="at kappa 5$"):
-        kappa_sweep(spec)
 
 
 def test_unreachable_epsilon_censors_and_unresolves():
@@ -636,6 +620,44 @@ def test_cli_json_key_set_of_each_artifact(tmp_path):
                                     "dim_y", "sigma", "problem_seed"}
     assert set(summary["medians"][0]) == {"kappa", "algorithm", "median",
                                           "resolved", "completed"}
+
+
+def _deep_copy_default(o):
+    """The JSON hook that deep-copied each dataclass at once."""
+    if dataclasses.is_dataclass(o):
+        return dataclasses.asdict(o)
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def test_json_text_equals_deep_copied_dumps():
+    # one dataclass level per encoder call, written into one buffer, gives
+    # every artifact document the bytes of the deep-copying json.dumps
+    quad = make_quadratic_problem(
+        3, 4, 5.0, seed=2, noise=NoiseModel(sigma=1.0, radius=0.5,
+                                            hess_scale=0.3))
+    logi = make_logistic_problem(3, 4, 12, seed=2)
+    config = RunConfig(seed=3, horizon=30, stride=4)
+    trace = run_ssaid(quad, config)
+    run_meta = {"schema": "ssaid-run-v1", "config": config,
+                "steps": trace.steps, "constants": quad.constants,
+                "derived": trace.derived,
+                "final": {name: getattr(trace, name)[-1]
+                          for name in ("k", "grad_phi_sq", "gc_count")}}
+    mc = MCConfig(replications=20, checkpoints=(1, 3), base_seed=4)
+    lemma_doc = {"schema": "ssaid-lemma-v1", "mc": mc, "horizon": 3,
+                 "reports": run_lemma_suite(quad, RunConfig(seed=3, horizon=3),
+                                            mc)}
+    spec = small_spec(kappa_grid=(1.0, 2.0), epsilon=1e6, max_iters=50,
+                      algorithms=("ssaid", "multiloop"))
+    result = kappa_sweep(spec)
+    summary = {"schema": "ssaid-sweep-v1", "spec": spec,
+               "medians": result.medians, "exponents": result.exponents}
+    fit = rate_fit(trace_with_running_average(1.0 / np.arange(1, 51)), (1, 50))
+    for doc in (quad, logi, run_meta, lemma_doc, summary, fit):
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2,
+                                             default=_deep_copy_default)
 
 
 def test_cli_config_file_and_override(tmp_path):

@@ -320,15 +320,16 @@ def _poisoned_factory(start):
     return Poisoned
 
 
-def _trace(problem, kind, preset, seed, max_iters):
+def _trace(problem, algorithm, seed, max_iters):
     """The runner's trace of one sweep cell's run: its rows sit at the
     sweep's check iterations and hold the same stationarity measure.  A
     diverged run keeps the rows recorded before."""
     run = RunConfig(seed=seed, horizon=max_iters,
                     stride=max(1, max_iters // harness._SWEEP_CHECKS))
     try:
-        if kind == "ssaid":
+        if algorithm == "ssaid":
             return run_ssaid(problem, run)
+        preset = harness.parse_algorithm(algorithm, 1.0)
         return run_multiloop(problem, MultiLoopConfig(*preset), run)
     except DivergenceError as err:
         return err.trace
@@ -347,9 +348,10 @@ def _cell_from_trace(trace, epsilon):
 
 
 @given(problems=_quadratic_batches(), seeds=_SEED_SETS,
-       algorithm=st.one_of(st.just("ssaid"),
-                           st.builds("multiloop:{}:{}".format,
-                                     st.integers(1, 3), st.integers(1, 3))),
+       algorithms=st.one_of(
+           st.sampled_from([["ssaid"], ["ssaid", "multiloop:1:1"]]),
+           st.builds(lambda n, q: [f"multiloop:{n}:{q}"],
+                     st.integers(1, 3), st.integers(1, 3))),
        max_iters=st.one_of(st.integers(1, 60), st.integers(300, 1000)),
        checks=st.integers(8, 64),
        pivot=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 1.0, 0.5, 2.0]),
@@ -359,19 +361,26 @@ def _cell_from_trace(trace, epsilon):
 @example(problems=[make_quadratic_problem(4, 4, kappa,
                                           noise=NoiseModel(sigma=1.0))
                    for kappa in (5.0, 2.0)],
-         seeds=[0, 1, 2, 3], algorithm="ssaid", max_iters=1000, checks=64,
+         seeds=[0, 1, 2, 3], algorithms=["ssaid"], max_iters=1000, checks=64,
          pivot=0.6, scale=1.0, poison=(2, 300))
-def test_lock_step_group_equals_one_seed_cells(problems, seeds, algorithm,
+# the single loop and the (1, 1) baseline share one batch
+@example(problems=[make_quadratic_problem(4, 4, kappa,
+                                          noise=NoiseModel(sigma=1.0))
+                   for kappa in (5.0, 2.0)],
+         seeds=[0, 3], algorithms=["ssaid", "multiloop:1:1"], max_iters=1000,
+         checks=64, pivot=0.6, scale=1.0, poison=(1, 300))
+def test_lock_step_group_equals_one_seed_cells(problems, seeds, algorithms,
                                                max_iters, checks, pivot,
                                                scale, poison):
-    kind, preset = harness.parse_algorithm(algorithm, 1.0)
+    preset = harness.parse_algorithm(algorithms[0], 1.0)
+    assert {harness.parse_algorithm(a, 1.0) for a in algorithms} == {preset}
     with pytest.MonkeyPatch.context() as mp:
         # fewer checks per run, so that small caps have strides above 1
         mp.setattr(harness, "_SWEEP_CHECKS", checks)
         # epsilon is the first row's running average at a drawn check row,
         # so the rows cross near that row, at different rows, or never
         # (scale 0.5), or at the first row (scale 2)
-        first = _trace(problems[0], kind, preset, seeds[0], max_iters)
+        first = _trace(problems[0], algorithms[0], seeds[0], max_iters)
         ra = first.running_average()
         epsilon = scale * float(ra[round(pivot * (ra.size - 1))])
         if poison is not None:
@@ -381,17 +390,20 @@ def test_lock_step_group_equals_one_seed_cells(problems, seeds, algorithm,
             for module in (streams_mod, core):
                 mp.setattr(module, "StreamFactory", _poisoned_factory(start))
         # every problem's rows follow the same seeds, as in a sweep batch
-        rows = [(problem, seed) for problem in problems for seed in seeds]
-        group = harness._run_group(rows, kind, preset, epsilon, max_iters)
-        cells = [harness._run_to_epsilon(problem, kind, preset, seed, epsilon,
-                                         max_iters) for problem, seed in rows]
-        brute = [_cell_from_trace(_trace(problem, kind, preset, seed,
-                                         max_iters), epsilon)
-                 for problem, seed in rows]
-    assert group == cells == brute
+        cells = [(algorithm, problem, seed) for algorithm in algorithms
+                 for problem in problems for seed in seeds]
+        group = harness._run_group([(problem, seed) for _, problem, seed
+                                    in cells], preset, epsilon, max_iters)
+        one_row = [harness._run_to_epsilon(problem, None, preset, seed,
+                                           epsilon, max_iters)
+                   for _, problem, seed in cells]
+        brute = [_cell_from_trace(_trace(problem, algorithm, seed, max_iters),
+                                  epsilon)
+                 for algorithm, problem, seed in cells]
+    assert group == one_row == brute
     if poison is not None and poison[1] == 0 and problems[0].stochastic_tags:
         # it diverges in its first step, before any check row
-        assert all(out == (None, True) for out, (_, seed) in zip(group, rows)
+        assert all(out == (None, True) for out, (_, _, seed) in zip(group, cells)
                    if seed == _POISONED_SEED)
 
 
