@@ -10,16 +10,14 @@ from .harness import (RateFit, SweepResult, SweepRow, SweepSpec, kappa_sweep,
                       main, parse_algorithm, rate_fit, sweep_csv,
                       sweep_summary_json)
 from .hypergradient import (DerivedConstants, StepSizes, beta_stability_cap,
-                            compute_derived_constants, compute_l_phi,
-                            default_step_sizes)
+                            compute_derived_constants, default_step_sizes)
 from .problems import (LogisticBilevelProblem, NoiseModel, ProblemConstants,
                        PseudoHuberCosineUpper, QuadraticBilevelProblem,
-                       ReferenceSolution, lower_solution,
-                       make_logistic_problem, make_quadratic_problem,
-                       problem_from_json, problem_hash, problem_to_json,
-                       reference_solution)
-from .ssaid import (IterationTrace, RunConfig, SSAIDState, initial_vectors,
-                    resolve_step_sizes, run_ssaid, ssaid_step)
+                       ReferenceSolution, make_logistic_problem,
+                       make_quadratic_problem, problem_from_json,
+                       problem_hash, problem_to_json, reference_solution)
+from .ssaid import (IterationTrace, RunConfig, SSAIDState, resolve_step_sizes,
+                    run_ssaid, ssaid_step)
 from .streams import StreamFactory, stream
 from .verification import (LEMMA_IDS, CheckRow, LemmaReport, MCConfig,
                            check_bias_recursions, check_coupled_recursion,

@@ -33,13 +33,13 @@ class ConvergenceFailureError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An optimization run produced a nonfinite iterate.
+    """An optimization run produced a nonfinite iterate or reference.
 
-    ``iteration`` is the index of the step that produced it and ``state``
-    the last finite ``SSAIDState`` before that step (``state.k ==
-    iteration``), from the single-loop and the multi-loop runner and from
-    the verifier's history replay alike.  The runners attach ``trace``, the
-    rows recorded before the abort.  There is no gradient ceiling: a run
+    ``iteration`` is the index of the step that produced it, or of the trace
+    row whose reference overflowed, and ``state`` the last finite
+    ``SSAIDState`` before it (``state.k == iteration``), from the runners
+    and the verifier's history replay alike.  The runners attach ``trace``,
+    the rows recorded before the abort.  There is no gradient ceiling: a run
     that grows without overflowing goes on until its horizon.  Sweep cells
     report a diverged run as censored.
     """

@@ -17,7 +17,6 @@ Three layers:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -557,10 +556,8 @@ def _cmd_gen(args) -> int:
             dim_x, dim_y, 4 * dim_y if args.rows is None else args.rows,
             seed=args.seed, reg=args.reg, batch_size=args.batch_size,
             noise=noise)
-    text = problem_to_json(problem)
-    # problem_hash(problem), from the text already serialized
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    _emit(_out_dir(args) / f"problem_{digest[:12]}.json", text)
+    _emit(_out_dir(args) / f"problem_{problem_hash(problem)[:12]}.json",
+          problem_to_json(problem))
     return 0
 
 

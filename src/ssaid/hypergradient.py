@@ -26,7 +26,6 @@ from .problems import ProblemConstants
 __all__ = [
     "DerivedConstants",
     "StepSizes",
-    "compute_l_phi",
     "compute_derived_constants",
     "default_step_sizes",
     "check_lower_rates",
@@ -76,19 +75,6 @@ class DerivedConstants:
                                             constants.lipschitz_M))))
 
 
-def compute_l_phi(constants: ProblemConstants) -> float:
-    """Smoothness constant of the implicit objective."""
-    mu = constants.mu
-    if mu <= 0:
-        raise InvalidParameterError("mu must be positive")
-    lip, rho, m, tau = (constants.lipschitz_L, constants.rho,
-                        constants.lipschitz_M, constants.tau)
-    return (lip
-            + (2.0 * lip ** 2 + _mul(tau, m * m)) / mu
-            + (_mul(rho, lip * m) + lip ** 3 + _mul(tau, m * lip)) / mu ** 2
-            + _mul(rho, _mul(lip ** 2, m)) / mu ** 3)
-
-
 def compute_derived_constants(constants: ProblemConstants,
                               v0_norm: float = 0.0) -> DerivedConstants:
     if constants.mu <= 0:
@@ -96,13 +82,17 @@ def compute_derived_constants(constants: ProblemConstants,
     if v0_norm < 0:
         raise InvalidParameterError("v0_norm must be >= 0")
     mu, lip = constants.mu, constants.lipschitz_L
-    rho, m = constants.rho, constants.lipschitz_M
+    rho, m, tau = constants.rho, constants.lipschitz_M, constants.tau
     c0 = _mul(rho, m) / mu ** 2 + lip / mu
     c1 = lip * (lip * mu + _mul(rho, m)) / mu ** 2 + ((lip + mu) / mu) * c0 * lip
     c2 = lip + _mul(rho, m) / mu + lip * c0
     c3 = m + lip * v0_norm + _mul(m, lip) / mu
-    return DerivedConstants(c0=c0, c1=c1, c2=c2, c3=c3,
-                            l_phi=compute_l_phi(constants), v0_norm=v0_norm)
+    l_phi = (lip
+             + (2.0 * lip ** 2 + _mul(tau, m * m)) / mu
+             + (_mul(rho, lip * m) + lip ** 3 + _mul(tau, m * lip)) / mu ** 2
+             + _mul(rho, _mul(lip ** 2, m)) / mu ** 3)
+    return DerivedConstants(c0=c0, c1=c1, c2=c2, c3=c3, l_phi=l_phi,
+                            v0_norm=v0_norm)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "LogisticBilevelProblem",
     "make_quadratic_problem",
     "make_logistic_problem",
-    "lower_solution",
     "reference_solution",
     "problem_to_json",
     "problem_from_json",
@@ -340,11 +339,6 @@ class _BilevelProblemBase:
             gx = gx + xi[..., :m]
             gy = gy + xi[..., m:]
         return gx, gy
-
-    # --- reference solutions ---------------------------------------------
-
-    def adjoint_solution(self, x, y):
-        return self.solve_lower_hess(x, y, self.upper.grad_y(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -860,13 +854,7 @@ def make_logistic_problem(dim_x: int, dim_y: int, n_rows: int, seed: int = 0, *,
 
 
 # ---------------------------------------------------------------------------
-# spec-level operations (thin functional forms over the methods)
-
-
-def lower_solution(problem, x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("x must be finite")
-    return problem.lower_solution(np.asarray(x, dtype=float))
+# reference solutions
 
 
 @dataclass
@@ -884,8 +872,10 @@ def reference_solution(problem, x: np.ndarray) -> ReferenceSolution:
     """The exact reference at ``x``.  A leading row axis on x gives one
     solution per row, each with the bits of its 1-D call."""
     x = np.asarray(x, dtype=float)
-    y_star = lower_solution(problem, x)
-    v_star = problem.adjoint_solution(x, y_star)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("x must be finite")
+    y_star = problem.lower_solution(x)
+    v_star = problem.solve_lower_hess(x, y_star, problem.upper.grad_y(x, y_star))
     grad_phi = problem.upper.grad_x(x, y_star) - problem.lower_cross_vec(x, y_star, v_star)
     residuals = {
         "lower": _row_norm(problem.lower_grad_y(x, y_star)),

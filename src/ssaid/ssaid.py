@@ -17,6 +17,7 @@ row has the bytes of its one-row solve.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -44,7 +45,6 @@ __all__ = [
     "run_ssaid",
     "iterate",
     "resolve_step_sizes",
-    "initial_vectors",
 ]
 
 TRACE_COLUMNS = ("k", "grad_phi_sq", "y_err", "v_err", "v_norm",
@@ -93,7 +93,7 @@ class RunConfig:
 # the iteration kernel, shared by the single-loop step, the multi-loop
 # baseline and the verifier's history replays and branches
 
-_ONCE = range(1)  # prebuilt: a range per iteration shows in the sweep
+_ONCE = range(1)  # the single loop's one step of each inner loop, built once
 
 
 def _oracle_bill(inner: int, solver: int) -> tuple:
@@ -210,11 +210,6 @@ class IterationTrace:
                                                  cols)},
                    final_state=final_state, steps=steps, derived=derived)
 
-    @classmethod
-    def from_rows(cls, rows, **extra) -> "IterationTrace":
-        return cls.from_columns(list(zip(*rows)) if rows
-                                else [[] for _ in TRACE_COLUMNS], **extra)
-
     @property
     def n_rows(self) -> int:
         return int(self.k.size)
@@ -248,25 +243,11 @@ class IterationTrace:
                              zip(_TRACE_TYPES, ln.split(","), strict=True)])
             except ValueError as exc:
                 raise InvalidParameterError(f"malformed trace row: {ln!r}") from exc
-        return cls.from_rows(rows)
+        return cls.from_columns(list(zip(*rows)) or [()] * len(TRACE_COLUMNS))
 
 
 # ---------------------------------------------------------------------------
 # run loop
-
-
-def initial_vectors(problem, config: RunConfig):
-    def prep(val, dim, name):
-        vec = np.zeros(dim) if val is None else np.array(val, dtype=float)
-        if vec.shape != (dim,):
-            raise InvalidParameterError(f"{name} must have shape ({dim},)")
-        if not np.all(np.isfinite(vec)):
-            raise InvalidParameterError(f"{name} must be finite")
-        return vec
-
-    return (prep(config.x0, problem.dim_x, "x0"),
-            prep(config.y0, problem.dim_y, "y0"),
-            prep(config.v0, problem.dim_y, "v0"))
 
 
 def resolve_step_sizes(problem, config: RunConfig, v0: np.ndarray) -> StepSizes:
@@ -276,13 +257,13 @@ def resolve_step_sizes(problem, config: RunConfig, v0: np.ndarray) -> StepSizes:
 
 
 def _reference_columns(problem, buffered, counts) -> list:
-    """Trace columns of the buffered (k, x_before, state) triples, from one
-    stacked reference solve; every norm is one ddot per row, so each row
-    has the bits of its one-row computation.  ``counts`` is the
-    per-iteration (gradient, matrix-vector) oracle bill."""
-    ks = np.array([k for k, _, _ in buffered])
-    x = np.stack([x_before for _, x_before, _ in buffered])
-    x_new, y_hat, v_hat = (np.stack([getattr(st, name) for _, _, st in buffered])
+    """Trace columns of the buffered (state before, state after) pairs of
+    steps, from one stacked reference solve; every norm is one ddot per
+    row, so each row has the bits of its one-row computation.  ``counts``
+    is the per-iteration (gradient, matrix-vector) oracle bill."""
+    ks = np.array([before.k for before, _ in buffered])
+    x = np.stack([before.x for before, _ in buffered])
+    x_new, y_hat, v_hat = (np.stack([getattr(st, name) for _, st in buffered])
                            for name in ("x", "y_hat", "v_hat"))
     ref = reference_solution(problem, x)
     gc, mv = counts
@@ -299,15 +280,24 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
     the per-iteration oracle bill (``_oracle_bill``) and ``derived`` the
     run's constants, which the trace carries.  Horizon 0 records the
     initial point.  Rows are buffered and solved in blocks of
-    ``_SOLVE_BLOCK``, and kept as column arrays per block; a DivergenceError
-    leaves carrying every row recorded before it."""
+    ``_SOLVE_BLOCK``, and kept as column arrays per block.  A reference
+    that overflows (its solve raises ValueError) raises DivergenceError at
+    its row unless a step diverged first; the error carries the rows before."""
     steps, horizon, stride = state.steps, config.horizon, config.stride
     blocks, pending = [], []
 
     def flush(bill=counts):
-        if pending:
-            blocks.append(_reference_columns(problem, pending, bill))
-            pending.clear()
+        rows, pending[:] = pending[:], []
+        n = len(rows)
+        while n:
+            with contextlib.suppress(ValueError):
+                blocks.append(_reference_columns(problem, rows[:n], bill))
+                break
+            n -= 1
+        if n < len(rows):
+            first = rows[n][0]
+            raise DivergenceError(f"nonfinite reference at iteration {first.k}",
+                                  iteration=first.k, state=first)
 
     def trace(final_state):
         cols = ([np.concatenate(col) for col in zip(*blocks)] if blocks
@@ -317,21 +307,19 @@ def _record_trace(problem, config: RunConfig, step, state: SSAIDState,
 
     try:
         for k in range(horizon):
-            x_before = state.x
-            state = step(state)
+            before, state = state, step(state)
             if k % stride == 0 or k == horizon - 1:
-                pending.append((k, x_before, state))
+                pending.append((before, state))
                 if len(pending) == _SOLVE_BLOCK:
                     flush()
+        if not horizon:   # the initial point, with no step and no oracle
+            pending.append((state, state))
+        flush(counts if horizon else (0, 0))
     except DivergenceError as err:
-        flush()
+        with contextlib.suppress(DivergenceError):
+            flush()
         err.trace = trace(err.state)
         raise
-    flush()
-    if not blocks:
-        # the initial point, with no step taken and no oracle called
-        pending.append((0, state.x, state))
-        flush((0, 0))
     return trace(state)
 
 
@@ -339,7 +327,16 @@ def _setup(problem, config: RunConfig):
     """(initial state, stream factory, derived constants) of a run of
     ``config``: the start vectors, the explicit or automatic step sizes,
     and the constants derived from ||v0||.  Every runner starts here."""
-    x0, y0, v0 = initial_vectors(problem, config)
+    def start(val, dim, name):
+        vec = np.zeros(dim) if val is None else np.array(val, dtype=float)
+        if vec.shape != (dim,):
+            raise InvalidParameterError(f"{name} must have shape ({dim},)")
+        if not np.all(np.isfinite(vec)):
+            raise InvalidParameterError(f"{name} must be finite")
+        return vec
+    x0, y0, v0 = (start(config.x0, problem.dim_x, "x0"),
+                  start(config.y0, problem.dim_y, "y0"),
+                  start(config.v0, problem.dim_y, "v0"))
     derived = compute_derived_constants(problem.constants,
                                         v0_norm=float(np.linalg.norm(v0)))
     steps = config.steps

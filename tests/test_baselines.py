@@ -7,8 +7,8 @@ from ssaid.hypergradient import StepSizes, compute_derived_constants
 from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
                             QuadraticBilevelProblem, make_logistic_problem,
                             make_quadratic_problem, reference_solution)
-from ssaid.ssaid import (RunConfig, _oracle_bill, initial_vectors,
-                         resolve_step_sizes, run_ssaid)
+from ssaid.ssaid import (RunConfig, _oracle_bill, _setup, resolve_step_sizes,
+                         run_ssaid)
 
 
 def noisy_quadratic(seed=5):
@@ -168,7 +168,7 @@ def test_inner_accuracy_improves_with_more_steps():
 def test_resolution_fills_from_run_schedule():
     prob = noisy_quadratic()
     run = RunConfig(seed=0, horizon=100, steps="auto")
-    base = resolve_step_sizes(prob, run, initial_vectors(prob, run)[2])
+    base = resolve_step_sizes(prob, run, _setup(prob, run)[0].v_hat)
     tr = run_multiloop(prob, MultiLoopConfig(inner_iters=2, solver_iters=2),
                        run)
     assert tr.steps == base

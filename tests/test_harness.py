@@ -39,7 +39,7 @@ def trace_with_running_average(values):
     g2 = np.diff(cums, prepend=0.0)
     rows = [(k, float(g2[k]), 0.1, 0.1, 1.0, 0.0, 0.0, 3 * (k + 1),
              2 * (k + 1)) for k in range(values.size)]
-    return IterationTrace.from_rows(rows)
+    return IterationTrace.from_columns(list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,8 @@ def test_rate_fit_rejects_nonpositive_average():
 
 def test_rate_fit_rejects_an_empty_trace():
     with pytest.raises(InsufficientDataError):
-        rate_fit(IterationTrace.from_rows([]), (1, 10))
+        rate_fit(IterationTrace.from_columns([()] * len(TRACE_COLUMNS)),
+                 (1, 10))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -18,7 +18,6 @@ from ssaid.problems import (
     _SOLVE_BLOCK,
     _json_text,
     _sigmoid,
-    lower_solution,
     make_logistic_problem,
     make_quadratic_problem,
     problem_from_json,
@@ -192,13 +191,14 @@ def test_quadratic_lower_solution_closed_form():
                                    coupling=np.array([[1.0]]),
                                    offset=np.array([0.0]),
                                    upper=PlainQuadraticUpper(target=np.zeros(1)))
-    np.testing.assert_allclose(lower_solution(prob, np.array([3.0])), [1.5])
+    np.testing.assert_allclose(
+        reference_solution(prob, np.array([3.0])).y_star, [1.5])
 
 
 def test_lower_solution_matches_gradient_descent():
     for prob in [tiny_quadratic(), tiny_logistic()]:
         x = np.random.default_rng(4).standard_normal(3)
-        y_star = lower_solution(prob, x)
+        y_star = reference_solution(prob, x).y_star
         y = np.zeros(prob.dim_y)
         lr = 1.0 / prob.constants.lipschitz_L
         for _ in range(20000):
@@ -211,7 +211,7 @@ def test_adjoint_solution_solves_linear_system():
     for prob in [tiny_quadratic(), tiny_logistic()]:
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal(3), rng.standard_normal(4)
-        v = prob.adjoint_solution(x, y)
+        v = prob.solve_lower_hess(x, y, prob.upper.grad_y(x, y))
         np.testing.assert_allclose(prob.lower_hess_vec(x, y, v),
                                    prob.upper.grad_y(x, y), atol=1e-9)
 
@@ -233,7 +233,7 @@ def test_reference_solution_gradient_matches_fd_of_implicit_objective():
         x = np.random.default_rng(7).standard_normal(3) * 0.5
 
         def phi(xx):
-            return prob.upper.value(xx, lower_solution(prob, xx))
+            return prob.upper.value(xx, reference_solution(prob, xx).y_star)
 
         ref = reference_solution(prob, x)
         np.testing.assert_allclose(ref.grad_phi, fd_grad(phi, x, h=1e-6),

@@ -6,13 +6,18 @@ import math
 import numpy as np
 import pytest
 
+import ssaid.ssaid as core
+from ssaid.baselines import MultiLoopConfig, run_multiloop
 from ssaid.errors import DivergenceError, InvalidParameterError
+from ssaid.harness import main
 from ssaid.hypergradient import StepSizes
 from ssaid.problems import (
     NoiseModel,
     PlainQuadraticUpper,
     QuadraticBilevelProblem,
     make_quadratic_problem,
+    problem_from_json,
+    problem_to_json,
     reference_solution,
 )
 from ssaid.ssaid import (
@@ -21,6 +26,7 @@ from ssaid.ssaid import (
     SSAIDState,
     _finite,
     _finite_rows,
+    _setup,
     _small,
     run_ssaid,
     ssaid_step,
@@ -250,6 +256,68 @@ def test_oversized_upper_step_raises_divergence_with_partial_trace():
         assert np.array_equal(err.state.x, short.final_state.x)
 
 
+def test_overflowing_reference_raises_divergence_with_partial_trace(
+        tmp_path, monkeypatch, capsys):
+    # kappa = 1e4 and beta = 50: the reference of row 154 overflows (its
+    # adjoint right-hand side is infinite, which the quadratic solve
+    # refuses with ValueError) one step before the iterates do, at 155
+    text = problem_to_json(dataclasses.replace(
+        make_quadratic_problem(4, 4, 1e4, seed=0),
+        upper=PlainQuadraticUpper(np.zeros(4), x_weight=1.0), constants=None))
+    prob = problem_from_json(text)
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    rate = 1.0 / prob.constants.lipschitz_L
+    cfg = RunConfig(seed=0, horizon=5000, stride=1,
+                    steps=StepSizes(rate, rate, 50.0, horizon_k=5000))
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, factory, _ = _setup(prob, cfg)
+        xs = []
+        for _ in range(154):
+            xs.append(state.x)
+            state = ssaid_step(state, prob, factory)
+        ref = reference_solution(prob, np.stack(xs))
+        with pytest.raises(ValueError):
+            reference_solution(prob, state.x)
+        short = run_ssaid(prob, dataclasses.replace(cfg, horizon=154))
+
+        with pytest.raises(DivergenceError) as info:
+            run_ssaid(prob, cfg)
+        with pytest.raises(DivergenceError) as multi:
+            run_multiloop(prob, MultiLoopConfig(1, 1), cfg)
+        # no step diverges: the final flush, and a full block, meet it
+        with pytest.raises(DivergenceError) as last:
+            run_ssaid(prob, dataclasses.replace(cfg, horizon=155))
+        monkeypatch.setattr(core, "_SOLVE_BLOCK", 5)
+        with pytest.raises(DivergenceError) as block:
+            run_ssaid(prob, cfg)
+        monkeypatch.undo()
+        code = main(["run", "--problem", str(path),
+                     "--K", "5000", "--stride", "1", "--alpha", repr(rate),
+                     "--eta", repr(rate), "--beta", "50",
+                     "--out-dir", str(tmp_path)])
+
+    # every kept row's reference is finite; the row values that square or
+    # subtract huge numbers overflow on their own, as in a run that stops
+    # before the overflowing row
+    for arr in (ref.y_star, ref.v_star, ref.grad_phi):
+        assert np.all(np.isfinite(arr))
+    for err in (info.value, multi.value):
+        assert str(err) == "nonfinite iterate at iteration 155"
+        assert err.iteration == err.state.k == 155
+        assert np.all(np.isfinite(err.state.x))
+    for err in (last.value, block.value):
+        assert str(err) == "nonfinite reference at iteration 154"
+        assert err.iteration == err.state.k == 154
+        assert np.array_equal(err.state.x, state.x)
+    for err in (info.value, multi.value, last.value, block.value):
+        assert err.trace.n_rows == 154
+        assert err.trace.csv_text() == short.csv_text()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: nonfinite iterate at iteration 155")
+
+
 def _one_row(prob, k, before, after, counts):
     """A trace row from a one-row reference solve and 1-D norms: the row
     that the runner's stacked blocks must reproduce byte for byte."""
@@ -274,12 +342,13 @@ def test_strided_trace_keeps_stride_final_and_initial_rows():
 
     rows = [_one_row(prob, k, state_at(k), state_at(k + 1), (3, 2))
             for k in trace.k.tolist()]
-    assert trace.csv_text() == IterationTrace.from_rows(rows).csv_text()
+    assert trace.csv_text() == IterationTrace.from_columns(
+        list(zip(*rows))).csv_text()
 
     start = run_ssaid(prob, RunConfig(seed=8, horizon=0))
     initial = state_at(0)
-    assert start.csv_text() == IterationTrace.from_rows(
-        [_one_row(prob, 0, initial, initial, (0, 0))]).csv_text()
+    assert start.csv_text() == IterationTrace.from_columns(
+        list(zip(_one_row(prob, 0, initial, initial, (0, 0))))).csv_text()
 
 
 def test_finite_check_equals_summed_reductions():

@@ -14,7 +14,7 @@ from ssaid.problems import (NoiseModel, PlainQuadraticUpper,
                             QuadraticBilevelProblem, _json_text,
                             make_logistic_problem, make_quadratic_problem,
                             reference_solution)
-from ssaid.ssaid import RunConfig, run_ssaid
+from ssaid.ssaid import RunConfig, _setup, run_ssaid
 from ssaid.verification import (LEMMA_IDS, MCConfig, _simulate_history,
                                 check_bias_recursions,
                                 check_coupled_recursion,
@@ -191,6 +191,40 @@ def test_lower_tracking_noise_band_at_stationary_start():
     # gradient noise, whose root mean square is alpha * sigma
     assert np.isclose(row.lhs, alpha * problem.constants.sigma, rtol=0.2)
     assert not row.violated
+
+
+# ---------------------------------------------------------------------------
+# false-alarm rates against exact moments
+
+
+def exact_lower_moment(problem, config, k):
+    """E||y' - y*(x_k)||^2 of the lower step that the checks branch on at
+    iteration k, for a quadratic problem whose one noise is the lower
+    gradient's: y' - y*(x_k) = (I - alpha H)(y_k - y*(x_k)) - alpha xi,
+    with xi Gaussian, zero-mean and E||xi||^2 = sigma^2."""
+    hist = _simulate_history(problem, config, k)
+    alpha = _setup(problem, config)[0].steps.alpha
+    err = hist.ys[k] - reference_solution(problem, hist.xs[k]).y_star
+    mean = err - alpha * (problem.hess @ err)
+    return float(mean @ mean) + (alpha * problem.noise.sigma) ** 2
+
+
+def test_lower_tracking_false_alarm_rate_against_exact_moment():
+    # LowerTracking's lhs is the branch's root-mean-square lower error, so
+    # z = (lhs - exact) / lhs_se over 400 branch seeds counts how often a
+    # 3-SE rule fires at the true value.  At the nominal two-sided rate
+    # of 0.27 % more than 5 of 400 has probability about 0.005.  At R = 8
+    # the count is 8 of 400 (2 %): small R is miscalibrated.
+    problem = make_quadratic_problem(5, 5, 10.0, seed=3,
+                                     noise=NoiseModel(sigma=1.0))
+    config = RunConfig(seed=17, horizon=5)
+    exact = math.sqrt(exact_lower_moment(problem, config, 5))
+    for replications in (64, 2000):
+        rows = [check_lower_tracking(
+                    problem, config, MCConfig(replications, (5,), seed)).rows[0]
+                for seed in range(400)]
+        z = np.array([(row.lhs - exact) / row.lhs_se for row in rows])
+        assert np.sum(np.abs(z) > 3.0) <= 5, replications
 
 
 def test_bias_recursion_exact_contraction_margin():
