@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import MultiLoopConfig
 from .errors import (ConvergenceFailureError, DivergenceError,
                      InsufficientDataError, InvalidParameterError,
                      InvalidProblemError)
@@ -127,8 +128,8 @@ def rate_fit(trace: IterationTrace, k_window) -> RateFit:
 # sweeps
 
 
-def parse_algorithm(name: str, kappa: float) -> tuple:
-    """Algorithm preset -> (inner_iters, solver_iters).
+def parse_algorithm(name: str, kappa: float) -> MultiLoopConfig:
+    """Algorithm name -> its preset, the MultiLoopConfig of its loop counts.
 
     "ssaid" is the single-loop method, which is the multi-loop step at
     (1, 1); "multiloop" uses ceil(kappa) inner and solver steps;
@@ -136,10 +137,10 @@ def parse_algorithm(name: str, kappa: float) -> tuple:
     so algorithm lists and CSV rows split cleanly.
     """
     if name == "ssaid":
-        return 1, 1
+        return MultiLoopConfig(1, 1)
     if name == "multiloop":
         n = max(1, math.ceil(kappa))
-        return n, n
+        return MultiLoopConfig(n, n)
     if name.startswith("multiloop:"):
         body = name[len("multiloop:"):]
         parts = body.split(":")
@@ -151,9 +152,7 @@ def parse_algorithm(name: str, kappa: float) -> tuple:
         except ValueError as exc:
             raise InvalidParameterError(
                 f"non-integer loop counts in {name!r}") from exc
-        if n < 1 or q < 1:
-            raise InvalidParameterError("loop counts must be >= 1")
-        return n, q
+        return MultiLoopConfig(n, q)
     raise InvalidParameterError(f"unknown algorithm {name!r}")
 
 
@@ -219,13 +218,12 @@ class SweepResult:
     exponents: dict      # algorithm -> log-log slope of median vs kappa
 
 
-def _run_group(rows, preset, epsilon, max_iters):
+def _run_group(rows, preset: MultiLoopConfig, epsilon, max_iters):
     """The sweep cells of ``rows``, (quadratic problem, seed) pairs of one
-    preset (inner_iters, solver_iters), run in lock-step.  Each row's run
-    starts at zero with the automatic step sizes for max_iters iterations,
-    and iterates until the running average of the exact stationarity
-    measure (over check rows) drops to epsilon.  The problems must share
-    their dimensions and noise.
+    preset, run in lock-step.  Each row's run starts at zero with the
+    automatic step sizes for max_iters iterations, and iterates until the
+    running average of the exact stationarity measure (over check rows)
+    drops to epsilon.  The problems must share their dimensions and noise.
 
     The running rows are the rows of stacked (rows, d) iterates, and one
     ``iterate`` call advances them all on the row-stacked view of their
@@ -243,7 +241,7 @@ def _run_group(rows, preset, epsilon, max_iters):
     """
     starts = [_setup(problem, RunConfig(seed=0, horizon=max_iters))[0]
               for problem, _ in rows]
-    n, q = preset
+    n, q = preset.inner_iters, preset.solver_iters
     inner, solver = range(n), range(q)
     cost = max(_oracle_bill(n, q))
     stride = max(1, max_iters // _SWEEP_CHECKS)
@@ -296,8 +294,8 @@ def _run_to_epsilon(problem, kind, preset, seed, epsilon, max_iters):
     """One sweep cell: the one-row case of ``_run_group``.  ``kind`` is
     unused and a ``preset`` of None means (1, 1); the benchmark's tracer and
     tests call this signature."""
-    return _run_group([(problem, seed)], preset or (1, 1), epsilon,
-                      max_iters)[0]
+    return _run_group([(problem, seed)], preset or MultiLoopConfig(1, 1),
+                      epsilon, max_iters)[0]
 
 
 def _summarize(rows, spec: SweepSpec):
@@ -333,9 +331,9 @@ def _summarize(rows, spec: SweepSpec):
 def kappa_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (kappa, seed, algorithm) cell and summarize.
 
-    The cells of one preset (inner_iters, solver_iters) run as one
-    lock-step batch (``_run_group``) whose rows are every (kappa, seed)
-    pair that uses it; "ssaid" is the (1, 1) preset.  A sweep takes the
+    The cells of one preset (``parse_algorithm``) run as one lock-step
+    batch (``_run_group``) whose rows are every (kappa, seed) pair that
+    uses it; "ssaid" is the (1, 1) preset.  A sweep takes the
     automatic steps, alpha = eta = 1/L, so it runs no multiloop rate check.
     """
     problems = {kappa: make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,

@@ -77,10 +77,6 @@ class DerivedConstants:
 
 def compute_derived_constants(constants: ProblemConstants,
                               v0_norm: float = 0.0) -> DerivedConstants:
-    if constants.mu <= 0:
-        raise InvalidParameterError("mu must be positive")
-    if v0_norm < 0:
-        raise InvalidParameterError("v0_norm must be >= 0")
     mu, lip = constants.mu, constants.lipschitz_L
     rho, m, tau = constants.rho, constants.lipschitz_M, constants.tau
     c0 = _mul(rho, m) / mu ** 2 + lip / mu

@@ -23,7 +23,6 @@ Evaluation points y may carry the same leading axis.
 from __future__ import annotations
 
 import copy
-import hashlib
 import io
 import json
 import math
@@ -420,9 +419,7 @@ class QuadraticBilevelProblem(_BilevelProblemBase):
                 np.linalg.eigvalsh(self.hess_noise_dir)[-1])
         b_norm = float(np.linalg.norm(self.coupling, 2))
         lip = max(l_hess, b_norm, self.upper.grad_lipschitz())
-        m_bound = self.upper.grad_bound(self.dim_x, self.dim_y)
-        if math.isfinite(m_bound):
-            m_bound += self.noise.radius
+        m_bound = self.upper.grad_bound(self.dim_x, self.dim_y) + self.noise.radius
         return ProblemConstants(mu=mu, lipschitz_L=lip, rho=0.0,
                                 lipschitz_M=m_bound, sigma=self.noise.sigma,
                                 tau=0.0)
@@ -609,9 +606,7 @@ class LogisticBilevelProblem(_BilevelProblemBase):
             np.max(np.maximum(a_sq, np.sqrt(a_sq * d_sq)) * np.sqrt(row_sq)))
         # E||grad G - grad g||^2 <= (p/b) sum_i ||row_i||^2 (|sigmoid| <= 1)
         sigma = math.sqrt(p / self.batch_size * float(np.sum(row_sq)))
-        m_bound = self.upper.grad_bound(self.dim_x, self.dim_y)
-        if math.isfinite(m_bound):
-            m_bound += self.noise.radius
+        m_bound = self.upper.grad_bound(self.dim_x, self.dim_y) + self.noise.radius
         return ProblemConstants(mu=self.reg, lipschitz_L=lip, rho=rho,
                                 lipschitz_M=m_bound, sigma=sigma, tau=rho)
 
@@ -967,4 +962,5 @@ def problem_from_json(text: str):
 
 
 def problem_hash(problem) -> str:
+    import hashlib   # here: ``fit`` never hashes, and so loads no OpenSSL
     return hashlib.sha256(problem_to_json(problem).encode()).hexdigest()

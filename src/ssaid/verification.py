@@ -156,7 +156,8 @@ def check_geometric_sum(sigma_seq, rho: float, horizon: int):
     """Brute-force the discounted double sum and its closed-form cap.
 
     Returns (lhs, rhs) with lhs = sum_t sum_{l<=t} (1-rho)^(t-l) sigma_l over
-    t = 0..horizon and rhs = sum_t sigma_t / rho, asserting lhs <= rhs.
+    t = 0..horizon and rhs = sum_t sigma_t / rho; ``_geom_sum_report``
+    judges lhs <= rhs.
     """
     if not (0.0 < rho <= 1.0):
         raise InvalidParameterError("rho must lie in (0, 1]")
@@ -173,9 +174,7 @@ def check_geometric_sum(sigma_seq, rho: float, horizon: int):
     for t in range(horizon + 1):
         for el in range(t + 1):
             lhs += (1.0 - rho) ** (t - el) * sig[el]
-    rhs = float(sig.sum() / rho)
-    assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
-    return float(lhs), rhs
+    return float(lhs), float(sig.sum() / rho)
 
 
 def check_v_bound(ks, v_norms, constants: ProblemConstants,
@@ -204,16 +203,19 @@ class _History:
     ys: np.ndarray    # (T+1, dim_y): lower iterate entering iteration t
     vs: np.ndarray    # (T+1, dim_y): adjoint iterate entering iteration t
     gys: np.ndarray   # (T, dim_y): realized upper-gradient-in-y sample at t
+    steps: StepSizes  # the run's step sizes
+    derived: DerivedConstants  # the run's constants, from its ||v0||
 
 
 def _simulate_history(problem, config: RunConfig, horizon: int) -> _History:
     """Replay the run's steps, capturing the per-iteration upper-gradient
     sample alongside the iterates, into arrays allocated up front.  Stream
     addresses match the runner exactly."""
-    state, factory, _ = _setup(problem, config)
+    state, factory, derived = _setup(problem, config)
     m, n = problem.dim_x, problem.dim_y
     hist = _History(xs=np.empty((horizon + 1, m)), ys=np.empty((horizon + 1, n)),
-                    vs=np.empty((horizon + 1, n)), gys=np.empty((horizon, n)))
+                    vs=np.empty((horizon + 1, n)), gys=np.empty((horizon, n)),
+                    steps=state.steps, derived=derived)
     hist.xs[0], hist.ys[0], hist.vs[0] = state.x, state.y_hat, state.v_hat
     for t in range(1, horizon + 1):
         state, hist.gys[t - 1] = _advance(state, problem, factory, _ONCE, _ONCE)
@@ -231,28 +233,21 @@ def _branch_iteration(problem, steps: StepSizes, hist: _History, k: int,
                    _ONCE, BRANCH_SLOT, mc.replications)
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise InvalidParameterError(msg)
-
-
-def _resolve_inputs(problem, config: RunConfig, mc: MCConfig):
-    state, _, derived = _setup(problem, config)
-    check_lower_rates(state.steps, problem.constants)
-    _require(mc.checkpoints[-1] <= config.horizon,
-             "checkpoints must not exceed the run horizon")
-    return state.steps, derived
-
-
-def _ref_cache(problem, hist: _History, ts):
-    """``ref(t)``, the reference solution at history point t, for every t in
-    ``ts``; one stacked solve, each row with the bits of its 1-D solve."""
+def _replay(problem, config: RunConfig, mc: MCConfig, horizon: int, ts):
+    """(history, ref) of a Monte-Carlo check: the run replayed for
+    ``horizon`` steps, whose lower and adjoint rates must be at most 1/L,
+    and ``ref(t)``, the reference at history point t for every t in ``ts``,
+    from one stacked solve whose rows have the bits of their 1-D solves
+    (each row keeps the stacked residuals)."""
+    if mc.checkpoints[-1] > config.horizon:
+        raise InvalidParameterError(
+            "checkpoints must not exceed the run horizon")
+    hist = _simulate_history(problem, config, horizon)
+    check_lower_rates(hist.steps, problem.constants)
     ts = sorted(set(ts))
     sol = reference_solution(problem, hist.xs[ts])
-    return {t: ReferenceSolution(
-                sol.y_star[i], sol.v_star[i], sol.grad_phi[i],
-                {name: res[i] for name, res in sol.residuals.items()})
-            for i, t in enumerate(ts)}.__getitem__
+    return hist, {t: ReferenceSolution(y, v, g, sol.residuals) for t, y, v, g
+                  in zip(ts, sol.y_star, sol.v_star, sol.grad_phi)}.__getitem__
 
 
 def _norms(arr: np.ndarray) -> np.ndarray:
@@ -267,11 +262,9 @@ def check_lower_tracking(problem, config: RunConfig,
                          mc: MCConfig) -> LemmaReport:
     """Root-mean-square tracking error of the lower iterate against the
     contraction + drift + noise bound."""
-    steps, _ = _resolve_inputs(problem, config, mc)
-    c = problem.constants
-    hist = _simulate_history(problem, config, max(mc.checkpoints))
-    ref = _ref_cache(problem, hist, [t for k in mc.checkpoints
-                                     for t in (k, max(k - 1, 0))])
+    hist, ref = _replay(problem, config, mc, mc.checkpoints[-1],
+                        [t for k in mc.checkpoints for t in (k, max(k - 1, 0))])
+    c, steps = problem.constants, hist.steps
     rows = []
     for k in mc.checkpoints:
         y = _branch_iteration(problem, steps, hist, k, mc)[0]
@@ -294,13 +287,12 @@ def check_bias_recursions(problem, config: RunConfig, mc: MCConfig) -> list:
     """Four reports on the adjoint iterate: bias decoupling, the bias
     recursion, the per-iteration drift of the sampled target, and the
     mean-square contraction with its additive noise floor."""
-    steps, derived = _resolve_inputs(problem, config, mc)
-    c = problem.constants
+    hist, ref = _replay(problem, config, mc, mc.checkpoints[-1],
+                        mc.checkpoints)
+    c, steps, derived = problem.constants, hist.steps, hist.derived
     mu, big_l, big_m = c.mu, c.lipschitz_L, c.lipschitz_M
     alpha, eta = steps.alpha, steps.eta
     c0 = derived.c0
-    hist = _simulate_history(problem, config, max(mc.checkpoints))
-    ref = _ref_cache(problem, hist, mc.checkpoints)
 
     decoupling, bias_rec, drift, contraction = [], [], [], []
     skipped_zero = False
@@ -409,18 +401,17 @@ def _initial_composite(problem, derived, hist: _History, ref) -> float:
 def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:
     """The squared composite tracking bound plus the two pointwise
     hypergradient error bounds it feeds."""
-    steps, derived = _resolve_inputs(problem, config, mc)
-    c = problem.constants
+    horizon = mc.checkpoints[-1]
+    # the initial composite, every checkpoint and the iterations before it
+    hist, ref = _replay(problem, config, mc, max(horizon, 1),
+                        range(horizon + 1))
+    c, steps, derived = problem.constants, hist.steps, hist.derived
     mu, big_l, big_m = c.mu, c.lipschitz_L, c.lipschitz_M
     alpha, beta = steps.alpha, steps.beta
     c1 = derived.c1
-    _require(beta <= mu * alpha / (4.0 * c1) * (1.0 + 1e-12),
-             "this check needs beta <= mu*alpha/(4*C1)")
+    if beta > mu * alpha / (4.0 * c1) * (1.0 + 1e-12):
+        raise InvalidParameterError("this check needs beta <= mu*alpha/(4*C1)")
     c_beta = derived.c_beta(c, alpha, beta)
-    horizon = max(mc.checkpoints)
-    hist = _simulate_history(problem, config, max(horizon, 1))
-    # the initial composite, every checkpoint and the iterations before it
-    ref = _ref_cache(problem, hist, range(horizon + 1))
     psi0 = _initial_composite(problem, derived, hist, ref)
     rate = 1.0 - mu * alpha / 8.0
 
@@ -487,13 +478,14 @@ def check_cumulative_bounds(problem, config: RunConfig,
     0..k-1, then the mean-square sum.  Error bars add in quadrature across
     iterations since each branch uses independent draws.
     """
-    steps, derived = _resolve_inputs(problem, config, mc)
-    c = problem.constants
+    ks = [k for k in mc.checkpoints if k >= 1]
+    k_max = max(ks, default=0)
+    hist, ref = _replay(problem, config, mc, k_max, range(k_max))
+    c, steps, derived = problem.constants, hist.steps, hist.derived
     mu, big_m = c.mu, c.lipschitz_M
     alpha, beta = steps.alpha, steps.beta
     c1, c3 = derived.c1, derived.c3
     c_beta = derived.c_beta(c, alpha, beta)
-    ks = [k for k in mc.checkpoints if k >= 1]
     notes = ["rows alternate per checkpoint: squared-bias sum then "
              "mean-square sum",
              "error bars summed in quadrature across iterations"]
@@ -501,9 +493,6 @@ def check_cumulative_bounds(problem, config: RunConfig,
         notes.append("checkpoint 0 skipped (empty sums)")
     if not ks:
         return LemmaReport("CumulativeBias", [], mc.replications, notes=notes)
-    k_max = max(ks)
-    hist = _simulate_history(problem, config, k_max)
-    ref = _ref_cache(problem, hist, range(k_max))
     psi0_sq = _initial_composite(problem, derived, hist, ref) ** 2
 
     bias_terms, mse_terms, bias_var, mse_var, grad_sq = [], [], [], [], []
@@ -571,7 +560,7 @@ def _v_bound_report(problem, config: RunConfig) -> LemmaReport:
     hist = _simulate_history(problem, config, config.horizon)
     vs = hist.vs[1:] if config.horizon else hist.vs
     return check_v_bound(range(len(vs)), _row_norm(vs).tolist(),
-                         problem.constants, _setup(problem, config)[2])
+                         problem.constants, hist.derived)
 
 
 # the suite in report order: (check, the ids of the reports it returns).

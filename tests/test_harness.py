@@ -116,10 +116,10 @@ def test_rate_fit_freezes_window():
 
 
 def test_parse_algorithm_presets():
-    assert parse_algorithm("ssaid", 10.0) == (1, 1)
-    assert parse_algorithm("multiloop", 10.0) == (10, 10)
-    assert parse_algorithm("multiloop", 2.5) == (3, 3)
-    assert parse_algorithm("multiloop:3:7", 50.0) == (3, 7)
+    assert parse_algorithm("ssaid", 10.0) == MultiLoopConfig(1, 1)
+    assert parse_algorithm("multiloop", 10.0) == MultiLoopConfig(10, 10)
+    assert parse_algorithm("multiloop", 2.5) == MultiLoopConfig(3, 3)
+    assert parse_algorithm("multiloop:3:7", 50.0) == MultiLoopConfig(3, 7)
 
 
 @pytest.mark.parametrize("name", [
@@ -220,7 +220,7 @@ def test_cell_complexity_matches_brute_force_on_trace():
     run = RunConfig(seed=4, horizon=horizon, stride=1)
     for kind, preset, trace in (
             ("ssaid", None, run_ssaid(problem, run)),
-            ("multiloop", (2, 3),
+            ("multiloop", MultiLoopConfig(2, 3),
              run_multiloop(problem, MultiLoopConfig(2, 3), run))):
         eps = float(np.min(trace.running_average()[100:300]))
         total, first = 0.0, None

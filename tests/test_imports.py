@@ -1,6 +1,7 @@
 """No module of the package, the tests or the benchmark imports a name it
 never uses, no private module-level name of the package is left
-unreferenced, no command loads scipy, and the package imports exactly the
+unreferenced, no module of the package holds an ``assert``, no command
+loads scipy, ``fit`` loads no OpenSSL, and the package imports exactly the
 third-party modules that ``pyproject.toml`` declares.
 
 The toolchain has no linter, so this walks each module's syntax tree: a
@@ -126,6 +127,15 @@ def test_no_dead_private_names(path):
     assert dead_names(path.read_text(), elsewhere) == []
 
 
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_assert_in_the_package(path):
+    # ``python -O`` strips assert statements, so a check must raise instead
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
 def test_dead_name_checker_flags_an_orphan():
     src = ("def _orphan():\n    return _orphan()\n"
            "def _used():\n    return 1\n"
@@ -173,6 +183,35 @@ def test_no_command_loads_scipy(tmp_path):
             if line.startswith("scipy after")]
     assert seen == ["scipy after import False", "scipy after quadratic False",
                     "scipy after logistic False", "scipy after sweep False"]
+
+
+# run in a fresh interpreter: ``fit``, the one command that draws nothing
+# (numpy.random loads OpenSSL's hash module), then whether that is loaded
+_FIT_PROBE = """
+import sys
+from ssaid.harness import main
+
+assert main(["fit", "--trace", sys.argv[1], "--k-min", "10", "--k-max",
+             "290", "--out-dir", sys.argv[2]]) == 0
+print("_hashlib loaded", "_hashlib" in sys.modules)
+"""
+
+
+def test_fit_loads_no_openssl(tmp_path):
+    from ssaid.problems import NoiseModel, make_quadratic_problem
+    from ssaid.ssaid import RunConfig, run_ssaid
+
+    problem = make_quadratic_problem(3, 3, 5.0, seed=1,
+                                     noise=NoiseModel(sigma=1.0))
+    trace = tmp_path / "trace.csv"
+    trace.write_text(run_ssaid(problem, RunConfig(seed=0, horizon=300))
+                     .csv_text())
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FIT_PROBE, str(trace),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "_hashlib loaded False"
 
 
 def _third_party_imports(paths) -> set:

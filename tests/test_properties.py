@@ -329,8 +329,8 @@ def _trace(problem, algorithm, seed, max_iters):
     try:
         if algorithm == "ssaid":
             return run_ssaid(problem, run)
-        preset = harness.parse_algorithm(algorithm, 1.0)
-        return run_multiloop(problem, MultiLoopConfig(*preset), run)
+        return run_multiloop(problem, harness.parse_algorithm(algorithm, 1.0),
+                             run)
     except DivergenceError as err:
         return err.trace
 

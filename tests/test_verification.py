@@ -492,3 +492,106 @@ def test_only_the_adjoint_checks_solve_per_draw_targets(family, monkeypatch):
         check(problem, config, mc)
     # one solve per branch in the two checks that read the targets
     assert counts == [0, 4, 4, 0]
+
+
+def test_each_check_sets_up_its_run_once(monkeypatch):
+    # every check takes its steps and constants from the one replay it
+    # starts from, so it sets the run up once
+    from ssaid import verification
+    setup = verification._setup
+    counts = []
+
+    def counting(problem, config):
+        counts[-1] += 1
+        return setup(problem, config)
+
+    monkeypatch.setattr(verification, "_setup", counting)
+    problem = noisy_problem()
+    config = RunConfig(seed=3, horizon=20)
+    mc = MCConfig(replications=8, checkpoints=(1, 5, 20))
+    for check in (check_lower_tracking, check_bias_recursions,
+                  check_coupled_recursion, check_cumulative_bounds,
+                  lambda p, c, m: run_lemma_suite(p, c, m, lemma="VBound")):
+        counts.append(0)
+        check(problem, config, mc)
+    assert counts == [1, 1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# verifier power: the lemmas that fail on a deliberately broken kernel
+
+
+def mutant_kernel(cross=-1.0, rhs_scale=1.0, lower_scale=1.0, lower_shift=0,
+                  stale_y=False):
+    """``iterate`` with one fault: the cross term added with sign ``cross``
+    (-1 is the method), the adjoint right-hand side scaled by
+    ``rhs_scale``, the lower step scaled by ``lower_scale``, the lower
+    draws moved by ``lower_shift`` slots, or (``stale_y``) the upper
+    gradient sampled at the lower iterate the step started from."""
+    from ssaid.streams import (TAG_CROSS_OP, TAG_HESS_OP, TAG_LOWER_GRAD,
+                               TAG_UPPER_GRAD)
+
+    def at(factory, k, tag, slot, tags):
+        return factory.at(k, tag, slot) if tag in tags else None
+
+    def kernel(problem, factory, k, x, y, v, alpha, eta, inner, solver, slot,
+               reps):
+        tags, y_start = problem.stochastic_tags, y
+        for j in inner:
+            gen = at(factory, k, TAG_LOWER_GRAD, slot + j + lower_shift, tags)
+            y = y - lower_scale * alpha * problem.sample_lower_grad(
+                x, y, gen, reps=reps)
+        gx, gy = problem.sample_upper_grads(
+            x, y_start if stale_y else y,
+            at(factory, k, TAG_UPPER_GRAD, slot, tags), reps=reps)
+        rhs = rhs_scale * eta * gy
+        for j in solver:
+            gen = at(factory, k, TAG_HESS_OP, slot + j, tags)
+            v = v - eta * problem.sample_hess_operator(x, gen, reps=reps)(
+                y, v) + rhs
+        jvp = problem.sample_cross_operator(
+            x, at(factory, k, TAG_CROSS_OP, slot, tags), reps=reps)
+        return y, v, gy, gx + cross * jvp(y, v)
+
+    return kernel
+
+
+_MUTANTS = {
+    "cross sign flipped": {"cross": 1.0},
+    "adjoint rhs halved": {"rhs_scale": 0.5},
+    "lower step tripled": {"lower_scale": 3.0},
+    "lower draws one slot on": {"lower_shift": 1},
+    "upper gradient at the stale y": {"stale_y": True},
+}
+
+
+def test_mutant_table(monkeypatch):
+    # the exact set of failing lemmas per (problem, kernel): a change in the
+    # verifier's power in either direction shows as a diff of this table.
+    # Most mutants pass every check (see ROADMAP item 1); on the logistic
+    # problem beta is about 3.5e-9 and x barely moves, so none fails.
+    from ssaid import ssaid as core
+    from ssaid import verification
+    problems = {
+        "quadratic": make_quadratic_problem(
+            5, 5, 10.0, seed=3, noise=NoiseModel(1.0, 0.5, 0.5)),
+        "logistic": make_logistic_problem(
+            5, 5, 20, seed=3, noise=NoiseModel(radius=0.5)),
+    }
+    kernels = {"real kernel": core.iterate}
+    kernels.update((name, mutant_kernel(**fault))
+                   for name, fault in _MUTANTS.items())
+    config = RunConfig(seed=17, horizon=100)
+    mc = MCConfig(400, (1, 5, 20, 100))
+    failing = {}
+    for family, problem in problems.items():
+        for name, kernel in kernels.items():
+            for module in (core, verification):
+                monkeypatch.setattr(module, "iterate", kernel)
+            failing[family, name] = {r.lemma_id for r in
+                                     run_lemma_suite(problem, config, mc)
+                                     if not r.passed}
+    want = {key: set() for key in failing}
+    want["quadratic", "lower step tripled"] = {"LowerTracking",
+                                               "CoupledRecursion"}
+    assert failing == want
