@@ -528,8 +528,17 @@ def _out_dir(args) -> Path:
     return path
 
 
+# characters of an artifact encoded and written at a time
+_EMIT_SLICE = 1 << 20
+
+
 def _emit(path: Path, text: str):
-    path.write_text(text)
+    """Write ``text`` to ``path`` a slice at a time, so that a long
+    artifact is never held a second time as one encoded copy, and print
+    the path."""
+    with open(path, "w") as f:
+        for start in range(0, len(text), _EMIT_SLICE):
+            f.write(text[start:start + _EMIT_SLICE])
     print(path)
 
 
@@ -607,7 +616,7 @@ def _cmd_verify(args) -> int:
                   checkpoints=args.checkpoints, base_seed=args.mc_seed)
     horizon = max(args.checkpoints) if args.horizon is None else args.horizon
     config = RunConfig(seed=args.seed, horizon=horizon)
-    reports = run_lemma_suite(problem, config, mc, args.lemma)
+    reports = run_lemma_suite(problem, config, mc, args.lemma, args.fork)
     name = "all" if args.lemma is None else reports[0].lemma_id
     digest = problem_hash(problem)
     stem = f"lemma_{name}_{digest[:10]}"
@@ -660,7 +669,10 @@ _COMMANDS = {"gen": _cmd_gen, "run": _cmd_run, "verify": _cmd_verify,
              "sweep": _cmd_sweep, "compare": _cmd_sweep, "fit": _cmd_fit}
 
 
-def main(argv=None) -> int:
+def main(argv=None, fork: bool = False) -> int:
+    """Run one command.  With ``fork``, which only :func:`cli` passes,
+    ``verify`` shares CumulativeBias's branches with one forked child
+    (``run_lemma_suite``); the artifacts have the same bytes either way."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -674,6 +686,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help
             return 0 if exc.code == 0 else 1
+        args.fork = fork
         return _COMMANDS[args.command](args)
     except (InvalidParameterError, InvalidProblemError,
             InsufficientDataError) as exc:
@@ -715,10 +728,12 @@ def _keep_freed_heap() -> None:
 
 def cli(argv=None) -> int:
     """The ``ssaid`` command: :func:`main` under the command-line process's
-    allocator policy.  ``import ssaid`` and :func:`main` itself leave the
-    allocator alone."""
+    policies.  It keeps freed heap (``_keep_freed_heap``), and where two or
+    more CPUs are usable it lets ``verify`` fork one child.  ``import
+    ssaid`` leaves both alone, and so does :func:`main` by default."""
     _keep_freed_heap()
-    return main(argv)
+    return main(argv, fork=hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2)
 
 
 if __name__ == "__main__":

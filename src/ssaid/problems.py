@@ -292,7 +292,8 @@ def _row_norm(a):
 def _sphere_noise(gen: np.random.Generator, dim: int, radius: float, reps):
     shape = (dim,) if reps is None else (reps, dim)
     z = gen.standard_normal(shape)
-    norm = np.linalg.norm(z, axis=-1, keepdims=True)
+    # np.linalg.norm's own reduction on a real array, without its dispatch
+    norm = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
     return radius * z / norm
 
 

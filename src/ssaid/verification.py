@@ -15,8 +15,11 @@ outright.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -469,21 +472,12 @@ def check_coupled_recursion(problem, config: RunConfig, mc: MCConfig) -> list:
     ]
 
 
-def check_cumulative_bounds(problem, config: RunConfig,
-                            mc: MCConfig) -> LemmaReport:
-    """Cumulative squared bias and mean-square error of the hypergradient
-    estimates along one realized trajectory, branched at every iteration.
-
-    Two rows per checkpoint k: first the squared-bias sum over iterations
-    0..k-1, then the mean-square sum.  Error bars add in quadrature across
-    iterations since each branch uses independent draws.
-    """
-    ks = [k for k in mc.checkpoints if k >= 1]
-    k_max = max(ks, default=0)
-    hist, ref = _replay(problem, config, mc, k_max, range(k_max))
+def _cumulative_report(problem, mc: MCConfig, ks: list, hist: _History,
+                       ref, terms: list) -> LemmaReport:
+    """CumulativeBias from its replay and the terms of iterations
+    0..max(ks)-1, in iteration order."""
     c, steps, derived = problem.constants, hist.steps, hist.derived
-    mu, big_m = c.mu, c.lipschitz_M
-    alpha, beta = steps.alpha, steps.beta
+    mu, alpha, beta = c.mu, steps.alpha, steps.beta
     c1, c3 = derived.c1, derived.c3
     c_beta = derived.c_beta(c, alpha, beta)
     notes = ["rows alternate per checkpoint: squared-bias sum then "
@@ -494,19 +488,7 @@ def check_cumulative_bounds(problem, config: RunConfig,
     if not ks:
         return LemmaReport("CumulativeBias", [], mc.replications, notes=notes)
     psi0_sq = _initial_composite(problem, derived, hist, ref) ** 2
-
-    bias_terms, mse_terms, bias_var, mse_var, grad_sq = [], [], [], [], []
-    for el in range(k_max):
-        est = _branch_iteration(problem, steps, hist, el, mc)[3]
-        gphi = ref(el).grad_phi
-        est_loo = loo_mean(est)
-        bias_terms.append(float(np.sum((est.mean(axis=0) - gphi) ** 2)))
-        bias_var.append(jackknife_se(np.sum((est_loo - gphi) ** 2,
-                                            axis=1)) ** 2)
-        err_sq = np.sum((est - gphi) ** 2, axis=1)
-        mse_terms.append(float(err_sq.mean()))
-        mse_var.append(jackknife_se(loo_mean(err_sq)) ** 2)
-        grad_sq.append(float(gphi @ gphi))
+    bias_terms, mse_terms, bias_var, mse_var, grad_sq = zip(*terms)
 
     rows = []
     for k in ks:
@@ -526,6 +508,138 @@ def check_cumulative_bounds(problem, config: RunConfig,
                + (2 ** 9 / (mu * mu * alpha * alpha)) * c_beta ** 2)
         rows.append(_mc_row(k, lhs, se, rhs))
     return LemmaReport("CumulativeBias", rows, mc.replications, notes=notes)
+
+
+@contextlib.contextmanager
+def _cumulative_bias(problem, config: RunConfig, mc: MCConfig, fork: bool):
+    """Context of CumulativeBias's report function.  Entering replays the
+    run and, with ``fork``, starts one child on the per-iteration terms
+    (``_forked_map``); the report function computes the rest."""
+    ks = [k for k in mc.checkpoints if k >= 1]
+    k_max = max(ks, default=0)
+    hist, ref = _replay(problem, config, mc, k_max, range(k_max))
+
+    def terms(el: int) -> tuple:
+        # from iteration el's own branch: the squared bias and the
+        # mean-square error of the hypergradient estimate, their jackknife
+        # variances, and ||grad phi||^2
+        est = _branch_iteration(problem, hist.steps, hist, el, mc)[3]
+        gphi = ref(el).grad_phi
+        err_sq = np.sum((est - gphi) ** 2, axis=1)
+        return (float(np.sum((est.mean(axis=0) - gphi) ** 2)),
+                float(err_sq.mean()),
+                jackknife_se(np.sum((loo_mean(est) - gphi) ** 2,
+                                    axis=1)) ** 2,
+                jackknife_se(loo_mean(err_sq)) ** 2,
+                float(gphi @ gphi))
+
+    with _forked_map(terms, k_max, 5, fork) as finish:
+        yield lambda: _cumulative_report(problem, mc, ks, hist, ref, finish())
+
+
+def check_cumulative_bounds(problem, config: RunConfig,
+                            mc: MCConfig) -> LemmaReport:
+    """Cumulative squared bias and mean-square error of the hypergradient
+    estimates along one realized trajectory, branched at every iteration.
+
+    Two rows per checkpoint k: first the squared-bias sum over iterations
+    0..k-1, then the mean-square sum.  Error bars add in quadrature across
+    iterations since each branch uses independent draws.
+    """
+    with _cumulative_bias(problem, config, mc, fork=False) as report:
+        return report()
+
+
+# Linux's prctl option that names the signal a process gets when its
+# parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+@contextlib.contextmanager
+def _forked_map(fn, n: int, width: int, fork: bool):
+    """Context of ``finish()``, which returns ``[fn(i) for i in range(n)]``
+    in order, each a tuple of ``width`` floats.  With ``fork`` and n >= 2,
+    one child forked on entry takes i = 0, 1, ..., and ``finish`` takes
+    i = n-1, n-2, ... until it reaches an i the child has finished, then
+    reaps the child and reads its terms from a shared map.  Both may
+    compute the i where they meet, with the same bits, so the result does
+    not depend on the split."""
+    def here() -> list:
+        return [fn(i) for i in range(n)]
+
+    if not fork or n < 2:
+        yield here
+        return
+    import mmap
+    import signal
+
+    # float64 words shared with the child: the lowest i this process has
+    # taken, then per i the child's done flag, then its terms
+    words = np.frombuffer(mmap.mmap(-1, 8 * (1 + n + n * width)))
+    words[0] = n
+    done, terms = words[1:1 + n], words[1 + n:].reshape(n, width)
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:   # no process to spare: every term here
+        yield here
+        return
+    if pid == 0:
+        # the child leaves only through os._exit: it must not flush the
+        # stdio buffers it copied from the parent, run the parent's exit
+        # hooks, or return into the caller's code (the CLI, a test runner)
+        code = 1
+        try:
+            if sys.platform == "linux":
+                # die with the parent: one killed from outside (a
+                # timeout's SIGKILL runs no handler) leaves nothing running
+                import ctypes
+
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = (ctypes.c_int,
+                                                 ctypes.c_ulong), ctypes.c_int
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                if os.getppid() != parent:   # it died before the prctl
+                    os._exit(1)
+            for i in range(n):
+                if i >= words[0]:
+                    break
+                terms[i] = fn(i)
+                done[i] = 1.0
+            code = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    reaped = False
+
+    def finish() -> list:
+        nonlocal reaped
+        own = {}
+        for i in range(n - 1, -1, -1):
+            if done[i]:
+                break
+            words[0] = i
+            own[i] = fn(i)
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if status:
+            raise RuntimeError(f"the forked worker exited with code "
+                               f"{os.waitstatus_to_exitcode(status)}")
+        return [own[i] if i in own else tuple(terms[i].tolist())
+                for i in range(n)]
+
+    try:
+        yield finish
+    finally:
+        # on this process's own error or a KeyboardInterrupt the child is
+        # killed, and on every path it is reaped: no process outlives the
+        # command, and none is left a zombie
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +701,27 @@ _SPELLINGS = {spelling.lower(): lid for lid in LEMMA_IDS for spelling in (
 
 
 def run_lemma_suite(problem, config: RunConfig, mc: MCConfig,
-                    lemma=None) -> list:
+                    lemma=None, fork: bool = False) -> list:
     """All checks in a fixed order, one report per lemma id; with ``lemma``
-    (an id, in any case or in snake_case) only that lemma's report."""
+    (an id, in any case or in snake_case) only that lemma's report.
+
+    With ``fork``, one forked child starts on CumulativeBias's per-iteration
+    branches before the other checks run, and this process takes the rest
+    once it has run them; the reports have the same bytes either way.
+    Library callers keep the default and never fork."""
     want = None if lemma is None else _SPELLINGS.get(str(lemma).lower())
     if lemma is not None and want is None:
         raise InvalidParameterError(
             f"unknown lemma {lemma!r}; known: {', '.join(LEMMA_IDS)}")
+    checks = [(check, ids) for check, ids in _REGISTRY
+              if want is None or want in ids]
     reports = []
-    for check, ids in _REGISTRY:
-        if want is None or want in ids:
+    with contextlib.ExitStack() as stack:
+        if fork and checks[-1][1] == ("CumulativeBias",):
+            report = stack.enter_context(
+                _cumulative_bias(problem, config, mc, fork=True))
+            checks[-1] = (lambda p, c, m: [report()], checks[-1][1])
+        for check, _ in checks:
             reports.extend(r for r in check(problem, config, mc)
                            if want in (None, r.lemma_id))
     return reports

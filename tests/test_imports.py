@@ -1,7 +1,8 @@
 """No module of the package, the tests or the benchmark imports a name it
 never uses, no private module-level name of the package is left
 unreferenced, no module of the package holds an ``assert``, no command
-loads scipy, ``fit`` loads no OpenSSL, and the package imports exactly the
+loads scipy, ``fit`` loads no OpenSSL, no library call forks and no
+command loads a process pool, and the package imports exactly the
 third-party modules that ``pyproject.toml`` declares.
 
 The toolchain has no linter, so this walks each module's syntax tree: a
@@ -212,6 +213,75 @@ def test_fit_loads_no_openssl(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "_hashlib loaded False"
+
+
+def test_library_verify_never_forks(tmp_path, monkeypatch, capsys):
+    # only ``cli`` forks; ``run_lemma_suite`` and ``main`` stay serial in
+    # their caller's process
+    from ssaid.harness import main
+    from ssaid.problems import NoiseModel, make_quadratic_problem
+    from ssaid.ssaid import RunConfig
+    from ssaid.verification import LEMMA_IDS, MCConfig, run_lemma_suite
+
+    def no_fork():
+        raise AssertionError("a library call forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    problem = make_quadratic_problem(3, 3, 5.0, seed=1,
+                                     noise=NoiseModel(sigma=1.0))
+    reports = run_lemma_suite(problem, RunConfig(seed=0, horizon=20),
+                              MCConfig(16, (1, 5, 20)))
+    assert [r.lemma_id for r in reports] == list(LEMMA_IDS)
+    assert main(["gen", "--dim", "3", "--sigma", "1", "--out-dir",
+                 str(tmp_path)]) == 0
+    problem_path = str(next(tmp_path.glob("problem_*.json")))
+    assert main(["verify", "--problem", problem_path, "--all",
+                 "--replications", "16", "--checkpoints", "1,5,20",
+                 "--out-dir", str(tmp_path)]) in (0, 2)
+    assert next(tmp_path.glob("lemma_all_*.csv")).read_text()
+
+
+# run in a fresh interpreter: every command, with ``verify`` forking as
+# under ``cli``, then whether a process pool module is loaded; the forked
+# child leaves through os._exit, which exits 3 where one is loaded there
+_POOL_PROBE = """
+import os
+import sys
+from pathlib import Path
+
+from ssaid.harness import main
+
+POOLS = ("multiprocessing", "concurrent.futures")
+exit_ = os._exit
+os._exit = lambda code: exit_(3 if POOLS & sys.modules.keys() else code)
+out = Path(sys.argv[1])
+assert main(["gen", "--dim", "3", "--sigma", "1", "--out-dir", str(out)],
+            fork=True) == 0
+problem = str(next(out.glob("problem_*.json")))
+assert main(["run", "--problem", problem, "--K", "300", "--stride", "1",
+             "--out-dir", str(out)], fork=True) == 0
+assert main(["verify", "--problem", problem, "--all", "--replications", "8",
+             "--checkpoints", "1,5,20", "--out-dir", str(out)],
+            fork=True) in (0, 2)
+for name in ("sweep", "compare"):
+    assert main([name, "--kappa-grid", "2", "--seeds", "0", "--dim", "2",
+                 "--max-iters", "10", "--out-dir", str(out)],
+                fork=True) == 0
+assert main(["fit", "--trace", str(next(out.glob("trace_*.csv"))),
+             "--k-min", "10", "--k-max", "290", "--out-dir", str(out)],
+            fork=True) == 0
+print("pools loaded", sorted(POOLS & sys.modules.keys()))
+"""
+
+
+def test_no_command_loads_a_process_pool(tmp_path):
+    # verify's one child is a bare os.fork: multiprocessing.pool alone
+    # takes 15.5 ms to import, concurrent.futures.process 23.7 ms
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "pools loaded []"
 
 
 def _third_party_imports(paths) -> set:
