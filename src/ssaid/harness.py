@@ -38,7 +38,7 @@ from .problems import (NoiseModel, _json_text, _row_dot, _stack_quadratics,
                        reference_solution)
 from .ssaid import (IterationTrace, RunConfig, _finite_rows, _oracle_bill,
                     _setup, iterate, run_ssaid)
-from .streams import RowStreams
+from .streams import TAG_LOWER_GRAD, row_streams
 from .verification import MCConfig, run_lemma_suite, summary_csv
 
 __all__ = [
@@ -218,7 +218,8 @@ class SweepResult:
     exponents: dict      # algorithm -> log-log slope of median vs kappa
 
 
-def _run_group(rows, preset: MultiLoopConfig, epsilon, max_iters):
+def _run_group(rows, preset: MultiLoopConfig, epsilon, max_iters,
+               fork: bool = False):
     """The sweep cells of ``rows``, (quadratic problem, seed) pairs of one
     preset, run in lock-step.  Each row's run starts at zero with the
     automatic step sizes for max_iters iterations, and iterates until the
@@ -232,7 +233,9 @@ def _run_group(rows, preset: MultiLoopConfig, epsilon, max_iters):
     every quadratic product is one gemv per row, so each row has the bits
     of its one-seed run.  A row leaves the batch when it crosses epsilon at
     a check row, or when its own iterate turns nonfinite, which ends the
-    one-seed run with a DivergenceError.
+    one-seed run with a DivergenceError.  With ``fork``, where the group
+    draws only lower gradients, one forked child draws them ahead and pipes
+    them here (``row_streams``), with the same bytes.
 
     Returns (complexity, censored) per row: the oracle count at the
     crossing, or (None, True) if the run diverged or never resolved within
@@ -245,7 +248,6 @@ def _run_group(rows, preset: MultiLoopConfig, epsilon, max_iters):
     inner, solver = range(n), range(q)
     cost = max(_oracle_bill(n, q))
     stride = max(1, max_iters // _SWEEP_CHECKS)
-    streams = RowStreams([seed for _, seed in rows])
     live = list(range(len(rows)))      # the row of each batch row
     x, y, v = (np.stack([getattr(start, name) for start in starts])
                for name in ("x", "y_hat", "v_hat"))
@@ -260,33 +262,38 @@ def _run_group(rows, preset: MultiLoopConfig, epsilon, max_iters):
     totals = [0.0] * len(rows)
     outcomes = [(None, True)] * len(rows)
     n_checks = 0
-    for k in range(max_iters):
-        x_before = x
-        y, v, _, est = iterate(view, streams, k, x, y, v, alpha, eta,
-                               inner, solver, 0, len(live))
-        x = x - beta * est
-        keep = _finite_rows(x, y, v)   # a diverged run never crossed
-        if k % stride == 0 or k == max_iters - 1:
-            n_checks += 1
-            batch = [i for i, kept in enumerate(keep) if kept]
-            if batch:
-                part = view if len(batch) == len(live) else _stack_quadratics(
-                    [rows[live[i]][0] for i in batch])
-                grad_phi = reference_solution(part, x_before[batch]).grad_phi
-                for i, sq in zip(batch, _row_dot(grad_phi, grad_phi).tolist()):
-                    row = live[i]
-                    totals[row] += sq
-                    if totals[row] / n_checks <= epsilon:
-                        outcomes[row] = (cost * (k + 1), False)
-                        keep[i] = False
-        if not all(keep):
-            live = [row for row, kept in zip(live, keep) if kept]
-            if not live:
-                break
-            x, y, v, alpha, eta, beta = (a[keep] for a in
-                                         (x, y, v, alpha, eta, beta))
-            view = _stack_quadratics([rows[row][0] for row in live])
-            streams.select(keep)
+    ahead = fork and view.stochastic_tags == {TAG_LOWER_GRAD}
+    with row_streams([seed for _, seed in rows],
+                     (max_iters, n, view.dim_y) if ahead else None) as streams:
+        for k in range(max_iters):
+            x_before = x
+            y, v, _, est = iterate(view, streams, k, x, y, v, alpha, eta,
+                                   inner, solver, 0, len(live))
+            x = x - beta * est
+            keep = _finite_rows(x, y, v)   # a diverged run never crossed
+            if k % stride == 0 or k == max_iters - 1:
+                n_checks += 1
+                batch = [i for i, kept in enumerate(keep) if kept]
+                if batch:
+                    part = view if len(batch) == len(live) else (
+                        _stack_quadratics([rows[live[i]][0] for i in batch]))
+                    grad_phi = reference_solution(part,
+                                                  x_before[batch]).grad_phi
+                    for i, sq in zip(batch,
+                                     _row_dot(grad_phi, grad_phi).tolist()):
+                        row = live[i]
+                        totals[row] += sq
+                        if totals[row] / n_checks <= epsilon:
+                            outcomes[row] = (cost * (k + 1), False)
+                            keep[i] = False
+            if not all(keep):
+                live = [row for row, kept in zip(live, keep) if kept]
+                if not live:
+                    break
+                x, y, v, alpha, eta, beta = (a[keep] for a in
+                                             (x, y, v, alpha, eta, beta))
+                view = _stack_quadratics([rows[row][0] for row in live])
+                streams.select(keep)
     return outcomes
 
 
@@ -328,13 +335,16 @@ def _summarize(rows, spec: SweepSpec):
     return medians, exponents
 
 
-def kappa_sweep(spec: SweepSpec) -> SweepResult:
+def kappa_sweep(spec: SweepSpec, fork: bool = False) -> SweepResult:
     """Run every (kappa, seed, algorithm) cell and summarize.
 
     The cells of one preset (``parse_algorithm``) run as one lock-step
     batch (``_run_group``) whose rows are every (kappa, seed) pair that
     uses it; "ssaid" is the (1, 1) preset.  A sweep takes the
     automatic steps, alpha = eta = 1/L, so it runs no multiloop rate check.
+    With ``fork``, each batch's noise is drawn ahead by one forked child;
+    the result is the same either way.  Library callers keep the default
+    and never fork.
     """
     problems = {kappa: make_quadratic_problem(spec.dim_x, spec.dim_y, kappa,
                                               seed=spec.problem_seed,
@@ -350,7 +360,8 @@ def kappa_sweep(spec: SweepSpec) -> SweepResult:
         cells = [(kappa, seed, alg) for kappa, alg in groups
                  for seed in spec.seeds]
         outcomes = _run_group([(problems[kappa], seed) for kappa, seed, _
-                               in cells], preset, spec.epsilon, spec.max_iters)
+                               in cells], preset, spec.epsilon, spec.max_iters,
+                              fork)
         rows.extend(SweepRow(*cell, *out) for cell, out in zip(cells, outcomes))
     rows.sort(key=lambda r: (r.kappa, r.seed, r.algorithm))
     medians, exponents = _summarize(rows, spec)
@@ -648,7 +659,7 @@ def _cmd_sweep(args) -> int:
         raise InvalidParameterError("comparison needs at least 2 algorithms")
     if args.threads < 1:
         raise InvalidParameterError("threads must be >= 1")
-    result = kappa_sweep(spec)
+    result = kappa_sweep(spec, args.fork)
     out = _out_dir(args)
     _emit(out / f"{name}.csv", sweep_csv(result))
     _emit(out / f"{name}_summary.json", sweep_summary_json(result, spec))
@@ -672,7 +683,9 @@ _COMMANDS = {"gen": _cmd_gen, "run": _cmd_run, "verify": _cmd_verify,
 def main(argv=None, fork: bool = False) -> int:
     """Run one command.  With ``fork``, which only :func:`cli` passes,
     ``verify`` shares CumulativeBias's branches with one forked child
-    (``run_lemma_suite``); the artifacts have the same bytes either way."""
+    (``run_lemma_suite``), and ``sweep`` and ``compare`` draw each batch's
+    noise in one (``kappa_sweep``); the artifacts have the same bytes
+    either way."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -729,8 +742,9 @@ def _keep_freed_heap() -> None:
 def cli(argv=None) -> int:
     """The ``ssaid`` command: :func:`main` under the command-line process's
     policies.  It keeps freed heap (``_keep_freed_heap``), and where two or
-    more CPUs are usable it lets ``verify`` fork one child.  ``import
-    ssaid`` leaves both alone, and so does :func:`main` by default."""
+    more CPUs are usable it lets ``verify``, ``sweep`` and ``compare`` fork
+    (``main``).  ``import ssaid`` leaves both alone, and so does
+    :func:`main` by default."""
     _keep_freed_heap()
     return main(argv, fork=hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2)

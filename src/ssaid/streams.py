@@ -18,13 +18,22 @@ draws (slot j = j-th inner step of a multi-loop iteration; the single-loop
 algorithm always uses slot 0, which is why N=Q=1 consumes byte-identical
 randomness).  Monte-Carlo branch draws live at BRANCH_SLOT, far above any
 realistic inner-loop count.
+
+Because no draw reads an iterate, a second process can make a run's draws
+ahead of time with the same bytes: ``row_streams`` lets a forked child draw
+a lock-step batch's lower-gradient noise and pipe it to the stepping
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 
 from .errors import InvalidParameterError
+from .fork import forked
 
 __all__ = [
     "TAG_LOWER_GRAD",
@@ -35,6 +44,7 @@ __all__ = [
     "stream",
     "StreamFactory",
     "RowStreams",
+    "row_streams",
 ]
 
 # one tag per draw site of a single iteration
@@ -138,3 +148,114 @@ class RowStreams:
     def uniform(self, low, high, size):
         return np.array([gen.uniform(low, high, size[1:])
                          for gen in self._gens]).take(self._rows, axis=0)
+
+
+# bytes of draws that a producer writes to its pipe at a time, about a
+# quarter of a default 64 KiB pipe: 68 iterations of three 10-dim seeds
+_CHUNK_BYTES = 1 << 14
+
+
+def _draw_ahead(fd: int, seeds, iters: int, slots: int, dim: int,
+                chunk: int):
+    """Write to ``fd`` the lower-gradient draws of ``seeds``, distinct, for
+    iterations 0..iters-1 and slots 0..slots-1, ``chunk`` iterations at a
+    time: per (k, j) the (seeds, dim) float64 draw that
+    ``RowStreams(seeds).at(k, TAG_LOWER_GRAD, j)`` makes, in that order."""
+    streams = RowStreams(seeds)
+    shape = (len(seeds), dim)
+    for base in range(0, iters, chunk):
+        draws = np.empty((min(chunk, iters - base), slots, *shape))
+        for k, slot_draws in enumerate(draws, base):
+            for j, out in enumerate(slot_draws):
+                out[...] = streams.at(k, TAG_LOWER_GRAD, j).standard_normal(
+                    shape)
+        view = memoryview(draws).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+class PipedStreams:
+    """``RowStreams``'s lower-gradient draws, read from the pipe that
+    ``_draw_ahead`` writes.  ``at(k, TAG_LOWER_GRAD, j)`` selects the draw
+    of (k, j), reading the next chunk once k passes the current one, so k
+    must not decrease; one ``standard_normal`` per address returns its rows.
+    The producer draws every seed throughout, and ``select`` only drops
+    rows.  ``join`` reaps a producer that closed the pipe early, raising
+    its failure."""
+
+    def __init__(self, fd: int, join, seeds, iters: int, slots: int,
+                 dim: int, chunk: int):
+        distinct = list(dict.fromkeys(seeds))
+        self._rows = np.array([distinct.index(s) for s in seeds])
+        self._fd, self._join, self._iters = fd, join, iters
+        self._draws = np.empty((chunk, slots, len(distinct), dim))
+        self._base, self._count = 0, 0   # the chunk's first k and its length
+
+    def select(self, keep):
+        self._rows = self._rows[np.asarray(keep, dtype=bool)]
+
+    def _read_chunk(self):
+        self._base += self._count
+        self._count = min(len(self._draws), self._iters - self._base)
+        view = memoryview(self._draws[:self._count]).cast("B")
+        while view:
+            got = os.readv(self._fd, [view])
+            if not got:
+                self._join()
+                raise RuntimeError("the draw producer closed its pipe early")
+            view = view[got:]
+
+    def at(self, iteration: int, tag: int, slot: int = 0) -> "PipedStreams":
+        while iteration >= self._base + self._count:
+            self._read_chunk()
+        self._draw = self._draws[iteration - self._base, slot]
+        return self
+
+    def standard_normal(self, size):
+        return self._draw.take(self._rows, axis=0)
+
+
+@contextlib.contextmanager
+def row_streams(seeds, ahead=None):
+    """Context of the draw source of stacked rows under ``seeds``: a
+    ``RowStreams``, or with ``ahead`` = (iters, slots, dim) a
+    ``PipedStreams`` fed by one forked child (``forked``) that runs
+    ``_draw_ahead`` over the distinct seeds.  The caller may then draw only
+    the lower gradient, at iterations below iters and slots below slots.
+    The rows get the same bytes either way.
+
+    A pipe wakes its reader onto its writer's CPU and back, which would
+    keep both processes on one CPU, so while the context lasts the child
+    runs on the last usable CPU and this process on the others.  Leaving
+    the context stops and reaps the child and restores this process's
+    CPUs; where fork fails this is the ``RowStreams``."""
+    if ahead is None:
+        yield RowStreams(seeds)
+        return
+    seeds = [_key(s) for s in seeds]
+    distinct = list(dict.fromkeys(seeds))
+    _, slots, dim = ahead
+    ahead = (*ahead, max(1, _CHUNK_BYTES // (8 * slots * len(distinct) * dim)))
+    cpus = os.sched_getaffinity(0)
+    last = {max(cpus)}
+    read, write = os.pipe()
+    try:
+        def produce(fd=write):
+            os.close(read)
+            os.sched_setaffinity(0, last)
+            _draw_ahead(fd, distinct, *ahead)
+
+        with forked(produce) as join:
+            os.close(write)
+            write = None
+            if join is None:
+                yield RowStreams(seeds)
+                return
+            os.sched_setaffinity(0, cpus - last or cpus)
+            yield PipedStreams(read, join, seeds, *ahead)
+            join(stop=True)
+    finally:
+        os.sched_setaffinity(0, cpus)
+        os.close(read)
+        if write is not None:
+            os.close(write)

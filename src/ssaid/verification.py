@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 import re
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .fork import forked
 from .hypergradient import DerivedConstants, StepSizes, check_lower_rates
 from .problems import (ProblemConstants, ReferenceSolution, _row_norm,
                        reference_solution)
@@ -550,20 +549,15 @@ def check_cumulative_bounds(problem, config: RunConfig,
         return report()
 
 
-# Linux's prctl option that names the signal a process gets when its
-# parent dies
-_PR_SET_PDEATHSIG = 1
-
-
 @contextlib.contextmanager
 def _forked_map(fn, n: int, width: int, fork: bool):
     """Context of ``finish()``, which returns ``[fn(i) for i in range(n)]``
     in order, each a tuple of ``width`` floats.  With ``fork`` and n >= 2,
-    one child forked on entry takes i = 0, 1, ..., and ``finish`` takes
-    i = n-1, n-2, ... until it reaches an i the child has finished, then
-    reaps the child and reads its terms from a shared map.  Both may
-    compute the i where they meet, with the same bits, so the result does
-    not depend on the split."""
+    one child forked on entry (``forked``) takes i = 0, 1, ..., and
+    ``finish`` takes i = n-1, n-2, ... until it reaches an i the child has
+    finished, then reaps the child and reads its terms from a shared map.
+    Both may compute the i where they meet, with the same bits, so the
+    result does not depend on the split."""
     def here() -> list:
         return [fn(i) for i in range(n)]
 
@@ -571,75 +565,37 @@ def _forked_map(fn, n: int, width: int, fork: bool):
         yield here
         return
     import mmap
-    import signal
 
     # float64 words shared with the child: the lowest i this process has
     # taken, then per i the child's done flag, then its terms
     words = np.frombuffer(mmap.mmap(-1, 8 * (1 + n + n * width)))
     words[0] = n
     done, terms = words[1:1 + n], words[1 + n:].reshape(n, width)
-    parent = os.getpid()
-    try:
-        pid = os.fork()
-    except OSError:   # no process to spare: every term here
-        yield here
-        return
-    if pid == 0:
-        # the child leaves only through os._exit: it must not flush the
-        # stdio buffers it copied from the parent, run the parent's exit
-        # hooks, or return into the caller's code (the CLI, a test runner)
-        code = 1
-        try:
-            if sys.platform == "linux":
-                # die with the parent: one killed from outside (a
-                # timeout's SIGKILL runs no handler) leaves nothing running
-                import ctypes
 
-                prctl = ctypes.CDLL(None).prctl
-                prctl.argtypes, prctl.restype = (ctypes.c_int,
-                                                 ctypes.c_ulong), ctypes.c_int
-                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-                if os.getppid() != parent:   # it died before the prctl
-                    os._exit(1)
-            for i in range(n):
-                if i >= words[0]:
-                    break
-                terms[i] = fn(i)
-                done[i] = 1.0
-            code = 0
-        except BaseException:
-            import traceback
-
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(code)
-    reaped = False
-
-    def finish() -> list:
-        nonlocal reaped
-        own = {}
-        for i in range(n - 1, -1, -1):
-            if done[i]:
+    def child():
+        for i in range(n):
+            if i >= words[0]:
                 break
-            words[0] = i
-            own[i] = fn(i)
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if status:
-            raise RuntimeError(f"the forked worker exited with code "
-                               f"{os.waitstatus_to_exitcode(status)}")
-        return [own[i] if i in own else tuple(terms[i].tolist())
-                for i in range(n)]
+            terms[i] = fn(i)
+            done[i] = 1.0
 
-    try:
+    with forked(child) as join:
+        if join is None:   # no process to spare: every term here
+            yield here
+            return
+
+        def finish() -> list:
+            own = {}
+            for i in range(n - 1, -1, -1):
+                if done[i]:
+                    break
+                words[0] = i
+                own[i] = fn(i)
+            join()
+            return [own[i] if i in own else tuple(terms[i].tolist())
+                    for i in range(n)]
+
         yield finish
-    finally:
-        # on this process's own error or a KeyboardInterrupt the child is
-        # killed, and on every path it is reaped: no process outlives the
-        # command, and none is left a zombie
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
